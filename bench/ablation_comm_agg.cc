@@ -85,8 +85,9 @@ std::string row_name(const std::string& app, const std::string& spec) {
 int main() {
   // Flush-policy sweep. count=1 forces a flush after every append (the
   // degenerate "aggregation tax without coalescing" corner); rdv=1k pushes
-  // the ~2 KB face messages over the rendezvous threshold (no coalescing,
-  // handshake cost instead); rdv=64m keeps everything eager.
+  // the ~2 KB face messages over the rendezvous threshold (no coalescing;
+  // the handshake runs at progress deadlines, off the MPE); rdv=64m keeps
+  // everything eager.
   const std::vector<std::string> policies = {
       "off",
       "size=1k,count=1",

@@ -92,20 +92,17 @@ void print_help() {
       "                                Numerics/archives are bit-equal to\n"
       "                                --comm-agg=off; only virtual comm\n"
       "                                time moves (default off)\n"
-      "  --comm-progress=inline|engine[:interval=US]\n"
-      "                                message progress driver: inline\n"
-      "                                piggybacks on test/flush calls (the\n"
-      "                                historical behavior); engine services\n"
+      "  --comm-progress=interval=US\n"
+      "                                the progress engine services\n"
       "                                aggregate-buffer age deadlines,\n"
       "                                rendezvous handshakes and lost-send\n"
-      "                                retransmits at a deterministic\n"
-      "                                virtual-time cadence of US\n"
-      "                                microseconds (default: cost-model\n"
-      "                                flush latency), with a dedicated\n"
-      "                                host progress thread per rank under\n"
-      "                                --coordinator=parallel. Numerics are\n"
-      "                                bit-equal either way; only virtual\n"
-      "                                comm time moves (default inline)\n"
+      "                                retransmits at deterministic virtual\n"
+      "                                times; a coalescing buffer flushes\n"
+      "                                at most US microseconds after its\n"
+      "                                first append (default: cost-model\n"
+      "                                flush latency). Numerics are\n"
+      "                                bit-equal for any interval; only\n"
+      "                                virtual comm time moves\n"
       "  --timing-only                 skip field allocation (big problems)\n"
       "  --partition=block|roundrobin|cost\n"
       "  --cpe-groups=N  --async-dma  --packed-tiles\n"
@@ -248,7 +245,7 @@ int main(int argc, char** argv) {
         sim::CoordinatorSpec::parse(opts.get("coordinator", "serial"));
     config.comm_agg = comm::AggSpec::parse(opts.get("comm-agg", "off"));
     config.comm_progress =
-        comm::ProgressSpec::parse(opts.get("comm-progress", "inline"));
+        comm::ProgressSpec::parse(opts.get("comm-progress", ""));
     config.nranks = static_cast<int>(get_int_min(opts, "ranks", 4, 1));
     config.timesteps = static_cast<int>(get_int_min(opts, "steps", 10, 0));
     config.storage = opts.get_bool("timing-only", false)
@@ -335,7 +332,7 @@ int main(int argc, char** argv) {
     const std::string agg_note =
         (config.comm_agg.enabled ? ", comm-agg " + config.comm_agg.describe()
                                  : "") +
-        (config.comm_progress.engine
+        (config.comm_progress.interval_us > 0
              ? ", comm-progress " + config.comm_progress.describe()
              : "");
     std::printf("uswsim: %s on %s (%d patches of %s), %d CGs, %d steps, %s, "
@@ -405,7 +402,7 @@ int main(int argc, char** argv) {
       table.add_row({"agg bytes saved", std::to_string(sum.agg_bytes_saved)});
       table.add_row({"rendezvous sends", std::to_string(sum.msgs_rendezvous)});
     }
-    if (config.comm_progress.engine) {
+    if (sum.progress_polls != 0) {
       table.add_row({"progress polls", std::to_string(sum.progress_polls)});
       table.add_row(
           {"progress flushes", std::to_string(sum.progress_flushes_driven)});

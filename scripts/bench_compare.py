@@ -36,8 +36,7 @@ Regression policy, per metric:
     new baseline to lock them in (see --help-rebaseline).
 
 Re-baselining (after an intentional model/perf change):
-  cmake --build build -j && ./build/bench/fig5_strong_scaling && \
-      ./build/bench/table6_7_async_improvement
+  cmake --build build -j && ./build/bench/fig5_strong_scaling
   cp build/bench/BENCH_*.json bench/baselines/
   git add bench/baselines && git commit  # explain the shift in the message
 """

@@ -5,10 +5,10 @@
 // With aggregation on, a Comm endpoint buffers same-destination small
 // sends into a per-destination coalescing buffer and posts the buffer as
 // ONE aggregate wire message (sub-message header table inline), flushed
-// when the buffer exceeds a size or count threshold, at the end of a send
-// burst, or when the endpoint needs progress/quiescence. Large messages
-// bypass the buffer and take a rendezvous handshake instead of the eager
-// bounce-buffer copy. See README "Communication" and comm.h for the
+// when the buffer exceeds a size or count threshold, when its age reaches
+// the progress interval, or when the endpoint needs quiescence. Large
+// messages bypass the buffer and take a rendezvous handshake instead of
+// the eager bounce-buffer copy. See README "Communication" and comm.h for the
 // mechanism; this header only carries the parsed policy.
 
 #include <cstdint>

@@ -81,19 +81,20 @@ Network::Delivery Network::deliver(Message msg, int attempt) {
 
 Comm::Comm(Network& net, sim::Coordinator& coord, int rank,
            hw::PerfCounters* counters)
-    : net_(net), coord_(coord), rank_(rank), counters_(counters) {
+    : net_(net), coord_(coord), rank_(rank), counters_(counters),
+      progress_interval_(net.cost().progress_interval()) {
   USW_ASSERT(rank >= 0 && rank < net.size());
 }
 
 Comm::~Comm() {
   // Finalize semantics for buffered sends: an endpoint must not tear down
   // with sub-messages still coalescing or rendezvous handshakes still
-  // deferred — inline mode's head-of-test flushes used to hide this leak,
-  // the engine removes them. The drain runs on the owning rank thread
-  // while it is still granted, so the virtual operations are as legal (and
-  // as deterministic) as in the rank body. Skipped during unwinding, and
-  // a cancellation thrown mid-drain is swallowed: the run is already dead
-  // and destructors must not throw.
+  // deferred (the progress engine only services them at deadlines, which
+  // a finished rank no longer waits for). The drain runs on the owning
+  // rank thread while it is still granted, so the virtual operations are
+  // as legal (and as deterministic) as in the rank body. Skipped during
+  // unwinding, and a cancellation thrown mid-drain is swallowed: the run
+  // is already dead and destructors must not throw.
   if (std::uncaught_exceptions() == 0) {
     try {
       flush_sends();
@@ -107,14 +108,6 @@ Comm::~Comm() {
     } catch (...) {
       // Run cancelled while draining; nothing left to salvage.
     }
-  }
-  if (progress_thread_ != nullptr) {
-    {
-      std::lock_guard<std::mutex> lk(progress_thread_->mu);
-      progress_thread_->exit = true;
-    }
-    progress_thread_->cv.notify_all();
-    progress_thread_->thread.join();
   }
 }
 
@@ -206,34 +199,19 @@ void Comm::set_agg(const AggSpec& spec) {
 
 void Comm::set_progress(const ProgressSpec& spec) {
   spec.validate();
-  progress_ = spec;
-  progress_interval_ = 0;
-  rdv_pending_.clear();
-  agg_deadline_min_ = sim::kNever;
-  lost_deadline_min_ = sim::kNever;
-  if (!progress_.engine) return;
   progress_interval_ =
       spec.interval_us > 0
           ? static_cast<TimePs>(spec.interval_us) * kMicrosecond
           : net_.cost().progress_interval();
-  // Under the parallel coordinator the engine gets a real host thread: it
-  // runs wait_all's wait/service loop on this rank's behalf between
-  // window barriers (strict grant handoff, see progress_thread_main).
-  if (coord_.parallel_active() && progress_thread_ == nullptr) {
-    progress_thread_ = std::make_unique<ProgressThread>();
-    progress_thread_->thread = std::thread([this] { progress_thread_main(); });
-  }
 }
 
 TimePs Comm::progress_due() const {
-  if (!progress_.engine) return sim::kNever;
   TimePs due = std::min(agg_deadline_min_, lost_deadline_min_);
   if (!rdv_pending_.empty()) due = std::min(due, rdv_pending_.front().ready);
   return due;
 }
 
 void Comm::service_progress() {
-  if (!progress_.engine) return;
   TimePs now = coord_.now(rank_);
   if (progress_due() > now) return;
   if (counters_ != nullptr) counters_->progress_polls += 1;
@@ -257,7 +235,8 @@ void Comm::service_progress() {
   }
   if (lost_deadline_min_ <= now) {
     // The engine drives every lost send whose timeout has passed, whether
-    // or not anyone ever tests that request — the retransmit-stall fix.
+    // or not anyone ever tests that request: a lost send nobody tests is
+    // still retransmitted.
     TimePs next = sim::kNever;
     for (Request& req : requests_) {
       if (req.kind != Kind::kSend || !req.lost) continue;
@@ -289,21 +268,16 @@ RequestId Comm::post_direct(int dst, int tag, std::uint64_t bytes,
   USW_ASSERT_MSG(dst >= 0 && dst < size(), "send to invalid rank");
   USW_ASSERT_MSG(dst != rank_, "self-sends are not modeled; use local copies");
   const TimePs post = net_.cost().mpi_post_overhead();
-  // Protocol split (aggregation mode only): eager sends pay the bounce-
-  // buffer copy on the MPE, rendezvous sends pay the RTS/CTS round trip
-  // instead — both delay the injection below, which starts at now().
-  const TimePs proto_cost = proto == Protocol::kEager
-                                ? net_.cost().eager_copy(bytes)
-                                : proto == Protocol::kRendezvous
-                                      ? net_.cost().rdv_handshake()
-                                      : 0;
+  // Eager sends (aggregation mode only) pay the bounce-buffer copy on the
+  // MPE before the injection below, which starts at now().
+  const TimePs proto_cost =
+      proto == Protocol::kEager ? net_.cost().eager_copy(bytes) : 0;
   coord_.advance(rank_, post + proto_cost);
   if (counters_ != nullptr) {
     counters_->comm_time += post + proto_cost;
     counters_->messages_sent += 1;
     counters_->bytes_sent += bytes;
     counters_->mpi_posts += 1;
-    if (proto == Protocol::kRendezvous) counters_->msgs_rendezvous += 1;
   }
 
   Message msg;
@@ -376,10 +350,9 @@ RequestId Comm::post_rendezvous_deferred(int dst, int tag, std::uint64_t bytes,
                                          std::vector<std::byte> payload) {
   USW_ASSERT_MSG(dst >= 0 && dst < size(), "send to invalid rank");
   USW_ASSERT_MSG(dst != rank_, "self-sends are not modeled; use local copies");
-  // Engine-mode rendezvous: the MPE only pays for posting the RTS; the
-  // RTS/CTS round trip runs in the background and the payload injects at
-  // the handshake-ready deadline, driven by service_progress. Inline mode
-  // instead blocks the MPE for the whole handshake (post_direct).
+  // The MPE only pays for posting the RTS; the RTS/CTS round trip runs in
+  // the background and the payload injects at the handshake-ready
+  // deadline, driven by service_progress.
   const TimePs post = net_.cost().mpi_post_overhead();
   coord_.advance(rank_, post);
   if (counters_ != nullptr) {
@@ -489,9 +462,9 @@ RequestId Comm::append_agg(int dst, int tag, std::uint64_t bytes,
   requests_.push_back(std::move(req));
 
   AggBuffer& buf = agg_bufs_[static_cast<std::size_t>(dst)];
-  // Engine mode bounds how long the buffer may coalesce: the deadline is
+  // The engine bounds how long the buffer may coalesce: the deadline is
   // the first append into the empty buffer plus the progress interval.
-  if (progress_.engine && buf.subs.empty()) {
+  if (buf.subs.empty()) {
     buf.deadline = coord_.now(rank_) + progress_interval_;
     agg_deadline_min_ = std::min(agg_deadline_min_, buf.deadline);
   }
@@ -610,10 +583,7 @@ RequestId Comm::route_send(int dst, int tag, std::uint64_t bytes,
   // order: buffered predecessors always hit the wire first.
   if (bytes >= rdv_threshold_bytes_) {
     flush_dst(dst);
-    if (progress_.engine)
-      return post_rendezvous_deferred(dst, tag, bytes, std::move(payload));
-    return post_direct(dst, tag, bytes, std::move(payload),
-                       Protocol::kRendezvous);
+    return post_rendezvous_deferred(dst, tag, bytes, std::move(payload));
   }
   const std::uint64_t entry = bytes + net_.cost().agg_sub_header_bytes();
   if (entry > agg_.max_bytes) {
@@ -641,20 +611,6 @@ RequestId Comm::isend(int dst, int tag, std::vector<std::byte>&& data) {
 
 RequestId Comm::isend_bytes(int dst, int tag, std::uint64_t bytes) {
   return route_send(dst, tag, bytes, {});
-}
-
-void Comm::isend_multi(std::span<SendDesc> descs, std::vector<RequestId>* out) {
-  for (SendDesc& desc : descs) {
-    const std::uint64_t bytes =
-        desc.payload.empty() ? desc.bytes : desc.payload.size();
-    const RequestId id =
-        route_send(desc.dst, desc.tag, bytes, std::move(desc.payload));
-    if (out != nullptr) out->push_back(id);
-  }
-  // Inline mode flushes at the burst boundary so progress never depends
-  // on a later call. The engine keeps coalescing across bursts: the age
-  // deadline (or the size/count policy) flushes instead.
-  if (!progress_.engine) flush_sends();
 }
 
 RequestId Comm::irecv(int src, int tag) {
@@ -753,15 +709,9 @@ void Comm::match_visible() {
 }
 
 bool Comm::test(RequestId id) {
-  // Progress guarantee: inline mode conservatively pushes anything still
-  // coalescing to the wire before this endpoint inspects or waits on
-  // state that could depend on it; the engine instead services whatever
-  // deadline is actually due (aged buffers, completed handshakes, lost
-  // sends) and lets the rest keep coalescing.
-  if (progress_.engine)
-    service_progress();
-  else
-    flush_sends();
+  // Service whatever deadline is due (aged buffers, completed handshakes,
+  // lost sends) and let the rest keep coalescing.
+  service_progress();
   Request& req = checked(id);
   if (req.done) return true;
   coord_.gate(rank_);
@@ -780,10 +730,7 @@ bool Comm::test(RequestId id) {
 }
 
 std::size_t Comm::test_bulk(std::span<const RequestId> ids) {
-  if (progress_.engine)
-    service_progress();
-  else
-    flush_sends();
+  service_progress();
   coord_.gate(rank_);
   const TimePs cost =
       net_.cost().mpi_test_overhead() +
@@ -813,27 +760,6 @@ void Comm::wait(RequestId id) {
 }
 
 void Comm::wait_all(std::span<const RequestId> ids) {
-  if (progress_thread_ != nullptr) {
-    // Strict grant handoff: the progress thread acts as this rank (tests,
-    // waits, services progress deadlines) while this thread sleeps on the
-    // cv. Exactly one host thread performs virtual operations for the
-    // rank at any time, and the mutex orders the two, so the virtual
-    // operation sequence is identical to running the loop here.
-    ProgressThread& pt = *progress_thread_;
-    std::unique_lock<std::mutex> lk(pt.mu);
-    pt.ids = ids;
-    pt.error = nullptr;
-    pt.done = false;
-    pt.job = true;
-    pt.cv.notify_all();
-    pt.cv.wait(lk, [&pt] { return pt.done; });
-    if (pt.error != nullptr) std::rethrow_exception(pt.error);
-    return;
-  }
-  wait_all_impl(ids);
-}
-
-void Comm::wait_all_impl(std::span<const RequestId> ids) {
   // The wake below comes from a shared-state scan; under the parallel
   // coordinator it is recomputed at window barriers, where concurrent
   // senders' pushes are ordered before us (see the 3-arg wait_until).
@@ -852,30 +778,6 @@ void Comm::wait_all_impl(std::span<const RequestId> ids) {
   }
 }
 
-void Comm::progress_thread_main() {
-  ProgressThread& pt = *progress_thread_;
-  std::unique_lock<std::mutex> lk(pt.mu);
-  for (;;) {
-    pt.cv.wait(lk, [&pt] { return pt.job || pt.exit; });
-    if (pt.exit) return;
-    pt.job = false;
-    const std::span<const RequestId> ids = pt.ids;
-    lk.unlock();
-    std::exception_ptr error;
-    try {
-      wait_all_impl(ids);
-    } catch (...) {
-      // Cancellation (or any rank error) transfers to the rank thread,
-      // which rethrows it from wait_all.
-      error = std::current_exception();
-    }
-    lk.lock();
-    pt.error = error;
-    pt.done = true;
-    pt.cv.notify_all();
-  }
-}
-
 std::vector<std::byte> Comm::take_payload(RequestId id) {
   Request& req = checked(id);
   USW_ASSERT_MSG(req.done && req.kind == Kind::kRecv,
@@ -890,10 +792,9 @@ std::uint64_t Comm::request_bytes(RequestId id) const {
 }
 
 TimePs Comm::earliest_known_completion(std::span<const RequestId> ids) const {
-  // Fold in the progress engine's next deadline (kNever with the engine
-  // off) so a blocked wait wakes in time to drive aged buffer flushes,
-  // deferred rendezvous injection, and retransmits of lost sends that are
-  // NOT in `ids` — the inline-mode stall this engine exists to fix.
+  // Fold in the progress engine's next deadline so a blocked wait wakes in
+  // time to drive aged buffer flushes, deferred rendezvous injection, and
+  // retransmits of lost sends that are NOT in `ids`.
   TimePs wake = progress_due();
   // Lock against concurrent senders (parallel coordinator). This scan can
   // race an in-window sender's push in either direction; callers that park

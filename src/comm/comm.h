@@ -38,35 +38,24 @@
 // completes locally at append time (MPI_Bsend semantics) unless loss
 // injection is armed, in which case it completes at flush like any other
 // eager send. Buffers are flushed on the size/count policy, by
-// flush_sends() (schedulers call it after each halo burst), and as a
-// progress guarantee at the head of test/test_bulk and reset_requests.
+// flush_sends(), at reset_requests, and by the progress engine below.
 //
-// Progress engine (--comm-progress, see progress.h): in the default
-// `inline` mode all of the above progress piggybacks on application
-// test/flush calls. With a ProgressSpec installed via set_progress in
-// `engine` mode, the endpoint instead tracks explicit virtual-time
-// deadlines — the age of every non-empty coalescing buffer (bounded by
-// the progress interval), the completion of every deferred rendezvous
-// handshake, and the retransmit timeout of every lost send — and services
-// whatever is due (service_progress) at the head of test/test_bulk and
-// whenever the rank wakes from a wait. progress_due() folds the earliest
-// deadline into earliest_known_completion(), so waits always wake in time
-// to drive progress even when the application never tests the request
-// that needs it (the retransmit-stall bug class inline mode exhibits).
-// Engine mode also overlaps the rendezvous handshake with MPE work: the
-// RTS is posted for one mpi_post_overhead, the payload injects when the
+// Progress engine (--comm-progress, see progress.h): the endpoint tracks
+// explicit virtual-time deadlines — the age of every non-empty coalescing
+// buffer (bounded by the progress interval), the completion of every
+// deferred rendezvous handshake, and the retransmit timeout of every lost
+// send — and services whatever is due (service_progress) at the head of
+// test/test_bulk and whenever the rank wakes from a wait. progress_due()
+// folds the earliest deadline into earliest_known_completion(), so waits
+// always wake in time to drive progress even when the application never
+// tests the request that needs it (a lost send nobody tests is still
+// retransmitted). The rendezvous handshake overlaps MPE work: the RTS is
+// posted for one mpi_post_overhead, the payload injects when the
 // handshake completes (a deadline), and the 30 µs round trip never blocks
-// the MPE. The scattered defensive flushes (scheduler burst boundaries,
-// isend_multi) are skipped under the engine, letting aggregates coalesce
-// across task boundaries until the size/count policy or the age deadline
-// flushes them. Under the parallel coordinator a real host-side progress
-// thread per rank performs the wait/service loop of wait_all between
-// window barriers: the rank thread hands it the grant via a strict
-// condition-variable handoff (the coordinator keys grants on the rank id,
-// not the host thread — see sim/coordinator.h), executes no virtual
-// operation while the progress thread holds it, and takes the grant back
-// when the wait completes, so the virtual operation sequence — and with
-// it the byte-equality contract — is identical with the thread on or off.
+// the MPE. Aggregates coalesce across task boundaries until the
+// size/count policy or the age deadline flushes them. With aggregation
+// off and no message loss no deadline is ever armed, so the engine costs
+// nothing and changes no virtual time.
 //
 // Thread safety: the Network object is shared by all rank threads. Under
 // the serial coordinator only the token-holding rank touches it, with the
@@ -87,14 +76,12 @@
 // seq, which is why message faults force the serial coordinator.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "comm/agg.h"
@@ -257,26 +244,23 @@ class Comm {
   void set_agg(const AggSpec& spec);
   const AggSpec& agg() const { return agg_; }
 
-  /// Installs the progress policy (validates it first). Must be called
-  /// before any send is posted. In engine mode this also resolves the
-  /// service interval (explicit or cost-model default) and, under the
-  /// parallel coordinator, starts the host-side progress thread that runs
-  /// wait_all's wait/service loop on this rank's behalf.
+  /// Installs the progress policy (validates it first): the buffer-age
+  /// interval, explicit or the cost-model default (which an endpoint
+  /// without a policy also uses). Must be called before any send is
+  /// posted.
   void set_progress(const ProgressSpec& spec);
-  const ProgressSpec& progress() const { return progress_; }
 
   /// Earliest virtual-time deadline the progress engine must service:
   /// the oldest non-empty coalescing buffer's age bound, the earliest
   /// deferred rendezvous handshake completion, and the earliest lost-send
-  /// retransmit timeout. kNever with the engine off or nothing pending.
+  /// retransmit timeout. kNever with nothing pending.
   /// Folded into earliest_known_completion() so waits wake in time.
   TimePs progress_due() const;
 
   /// Services every progress deadline at or before now(): flushes aged
   /// buffers, injects completed rendezvous handshakes, retransmits
-  /// timed-out lost sends. No-op with the engine off or nothing due.
-  /// Runs at the head of test/test_bulk (replacing inline mode's
-  /// unconditional flush) and after every wait wake.
+  /// timed-out lost sends. No-op with nothing due. Runs at the head of
+  /// test/test_bulk and after every wait wake.
   void service_progress();
 
   /// Nonblocking send with payload (functional mode). The data is copied
@@ -289,20 +273,6 @@ class Comm {
 
   /// Nonblocking send of `bytes` without payload (timing-only mode).
   RequestId isend_bytes(int dst, int tag, std::uint64_t bytes);
-
-  /// One send of a bulk burst (isend_multi).
-  struct SendDesc {
-    int dst = -1;
-    int tag = -1;
-    std::uint64_t bytes = 0;         ///< used when payload is empty
-    std::vector<std::byte> payload;  ///< moved from; empty in timing-only
-  };
-
-  /// Bulk send: posts every descriptor (coalescing same-destination small
-  /// messages when aggregation is on) then flushes, so each neighbor gets
-  /// at most one aggregate for the burst. Appends one RequestId per
-  /// descriptor to `out` (in order) when non-null.
-  void isend_multi(std::span<SendDesc> descs, std::vector<RequestId>* out);
 
   /// Flushes every open coalescing buffer (ascending destination order).
   /// No-op with aggregation off or nothing buffered.
@@ -392,9 +362,9 @@ class Comm {
 
   /// Wire protocol of a directly posted (non-coalesced) send. kLegacy is
   /// the aggregation-off path, byte-identical to the pre-aggregation
-  /// model; under aggregation small directs pay the eager bounce copy and
-  /// large ones the rendezvous handshake.
-  enum class Protocol : std::uint8_t { kLegacy, kEager, kRendezvous };
+  /// model; under aggregation a direct post pays the eager bounce copy
+  /// (sends past the rendezvous threshold take the deferred path instead).
+  enum class Protocol : std::uint8_t { kLegacy, kEager };
 
   struct Request {
     Kind kind = Kind::kSend;
@@ -406,7 +376,7 @@ class Comm {
     TimePs complete_stamp = 0;
     bool done = false;
     bool lost = false;      ///< send dropped by fault injection, not yet resent
-    /// Engine-mode rendezvous send whose handshake is still in flight:
+    /// Rendezvous send whose handshake is still in flight:
     /// complete_stamp holds the handshake-ready deadline and the payload
     /// has not been injected yet (rdv_pending_ owns it).
     bool rdv_pending = false;
@@ -416,7 +386,7 @@ class Comm {
   };
 
   /// Routes a logical send: legacy path (aggregation off / collectives),
-  /// coalescing buffer, or a direct post with the eager/rendezvous split.
+  /// coalescing buffer, an eager direct post, or a deferred rendezvous.
   RequestId route_send(int dst, int tag, std::uint64_t bytes,
                        std::vector<std::byte> payload);
 
@@ -424,7 +394,7 @@ class Comm {
   RequestId post_direct(int dst, int tag, std::uint64_t bytes,
                         std::vector<std::byte> payload, Protocol proto);
 
-  /// Engine-mode rendezvous: posts the RTS (one mpi_post_overhead, wire
+  /// Rendezvous: posts the RTS (one mpi_post_overhead, wire
   /// seq reserved now for program order) and defers the payload injection
   /// to the handshake-ready deadline, which service_progress drives. The
   /// 30 µs handshake overlaps MPE work instead of blocking it.
@@ -476,44 +446,23 @@ class Comm {
   struct AggBuffer {
     std::vector<AggSub> subs;
     std::uint64_t bytes = 0;  ///< buffered payload + sub-header bytes
-    /// Engine mode: flush deadline = time of the first append into the
-    /// empty buffer + the progress interval. kNever while empty.
+    /// Flush deadline = time of the first append into the empty buffer +
+    /// the progress interval. kNever while empty.
     TimePs deadline = sim::kNever;
   };
 
-  /// An engine-mode rendezvous send whose handshake is in flight.
+  /// A rendezvous send whose handshake is in flight.
   struct RdvPending {
     std::size_t req = 0;  ///< request-table slot of the logical send
     TimePs ready = 0;     ///< handshake completes; payload may inject
     std::vector<std::byte> payload;
   };
 
-  /// The actual wait/service loop of wait_all (runs on the rank thread,
-  /// or on the progress thread under the parallel coordinator).
-  void wait_all_impl(std::span<const RequestId> ids);
-
   /// Injects a rendezvous payload whose handshake has completed.
   void inject_rendezvous(RdvPending&& pending);
 
   /// Recomputes the cached minimum agg-buffer deadline after flushes.
   void recompute_agg_deadline();
-
-  /// Host-side progress thread (engine mode + parallel coordinator): runs
-  /// wait_all_impl on the rank's behalf via a strict cv handoff — the
-  /// rank thread blocks on `cv` and performs no virtual operation while
-  /// `job` is outstanding, so exactly one host thread ever acts as this
-  /// rank and the mutex provides the happens-before edges between them.
-  struct ProgressThread {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool job = false;   ///< a wait job has been handed over
-    bool done = false;  ///< the wait job completed (or threw)
-    bool exit = false;
-    std::span<const RequestId> ids;
-    std::exception_ptr error;
-    std::thread thread;
-  };
-  void progress_thread_main();
 
   Network& net_;
   sim::Coordinator& coord_;
@@ -528,8 +477,7 @@ class Comm {
   std::uint64_t rdv_threshold_bytes_ = 0;  ///< resolved at set_agg
   std::vector<AggBuffer> agg_bufs_;        ///< one per destination rank
   std::vector<char> match_consumed_;       ///< match_visible scratch
-  ProgressSpec progress_;
-  TimePs progress_interval_ = 0;  ///< resolved at set_progress
+  TimePs progress_interval_;  ///< buffer-age bound (see set_progress)
   /// Cached minimum over the non-empty buffers' deadlines. Conservative:
   /// a policy flush can leave it pointing at an already-empty buffer, in
   /// which case service_progress finds nothing due and recomputes.
@@ -539,7 +487,6 @@ class Comm {
   /// Deferred rendezvous sends in post order (ready stamps are monotone:
   /// each is its post time plus the constant handshake cost).
   std::vector<RdvPending> rdv_pending_;
-  std::unique_ptr<ProgressThread> progress_thread_;
 };
 
 }  // namespace usw::comm

@@ -1,26 +1,17 @@
 #include "comm/progress.h"
 
-#include <sstream>
-
 #include "support/error.h"
 
 namespace usw::comm {
 
 ProgressSpec ProgressSpec::parse(const std::string& text) {
   ProgressSpec spec;
-  if (text.empty() || text == "inline") return spec;
-  const std::string kPrefix = "engine";
-  if (text.compare(0, kPrefix.size(), kPrefix) != 0)
-    throw ConfigError("unknown --comm-progress mode '" + text +
-                      "' (inline|engine[:interval=US])");
-  spec.engine = true;
-  if (text.size() == kPrefix.size()) return spec;
-  const std::string rest = text.substr(kPrefix.size());
-  const std::string kInterval = ":interval=";
-  if (rest.compare(0, kInterval.size(), kInterval) != 0)
+  if (text.empty()) return spec;
+  const std::string kInterval = "interval=";
+  if (text.compare(0, kInterval.size(), kInterval) != 0)
     throw ConfigError("unknown --comm-progress option '" + text +
-                      "' (inline|engine[:interval=US])");
-  const std::string num = rest.substr(kInterval.size());
+                      "' (interval=US)");
+  const std::string num = text.substr(kInterval.size());
   std::size_t used = 0;
   long long us = 0;
   try {
@@ -37,15 +28,11 @@ ProgressSpec ProgressSpec::parse(const std::string& text) {
 }
 
 std::string ProgressSpec::describe() const {
-  if (!engine) return "inline";
-  if (interval_us < 0) return "engine";
-  std::ostringstream os;
-  os << "engine:interval=" << interval_us;
-  return os.str();
+  if (interval_us < 0) return "default";
+  return "interval=" + std::to_string(interval_us);
 }
 
 void ProgressSpec::validate() const {
-  if (!engine) return;
   // -1 is the "derive from the cost model" sentinel; an explicit interval
   // must be a positive number of microseconds.
   if (interval_us != -1 && interval_us <= 0)

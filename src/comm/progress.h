@@ -2,19 +2,12 @@
 
 // Configuration of the communication progress engine (--comm-progress).
 //
-// In `inline` mode (the default, byte-identical to the historical
-// behaviour) message progress piggybacks on application calls: coalescing
-// buffers are flushed at the head of every test/test_bulk, rendezvous
-// sends block the MPE for the whole RTS/CTS handshake, and a lost
-// message's retransmit timer only fires when someone happens to test that
-// specific request.
-//
-// In `engine` mode each endpoint runs a dedicated progress engine that
-// the coordinator drives at deterministic virtual-time deadlines —
-// aggregation-buffer age, rendezvous handshake completion, and lost-send
-// retransmit timeouts — independently of which requests the application
-// tests. See README "Communication" and comm.h for the mechanism; this
-// header only carries the parsed policy.
+// Every endpoint runs a progress engine that the coordinator drives at
+// deterministic virtual-time deadlines — aggregation-buffer age,
+// rendezvous handshake completion, and lost-send retransmit timeouts —
+// independently of which requests the application tests. See README
+// "Communication progress" and comm.h for the mechanism; this header only
+// carries the one tunable: the buffer-age bound.
 
 #include <cstdint>
 #include <string>
@@ -22,21 +15,19 @@
 namespace usw::comm {
 
 struct ProgressSpec {
-  /// Dedicated progress engine on (vs. inline test/flush piggybacking).
-  bool engine = false;
   /// Maximum age (microseconds) a non-empty coalescing buffer may reach
   /// before the engine flushes it. -1 = derive from the cost model
   /// (MachineParams::comm_progress_interval, ≈ the latency one aggregate
   /// flush adds to a buffered message).
   std::int64_t interval_us = -1;
 
-  /// Parses "inline" | "engine[:interval=US]". An empty string means
-  /// inline. Throws ConfigError (naming --comm-progress) on nonsense,
+  /// Parses "interval=US". An empty string means the cost-model default.
+  /// Throws ConfigError (naming --comm-progress) on anything else,
   /// including an interval of zero or less.
   static ProgressSpec parse(const std::string& text);
 
-  /// Round-trippable human-readable form ("inline", "engine" or
-  /// "engine:interval=US").
+  /// Human-readable form: "interval=US" (parse() accepts it back), or
+  /// "default" for the cost-model interval.
   std::string describe() const;
 
   /// Throws ConfigError if the interval is out of range.

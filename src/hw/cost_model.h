@@ -111,9 +111,9 @@ class CostModel {
   /// Break-even where the eager copy cost equals the handshake cost.
   std::uint64_t rendezvous_threshold_bytes() const;
 
-  /// Default service cadence of the dedicated progress engine
-  /// (--comm-progress=engine): the maximum age a non-empty coalescing
-  /// buffer reaches before the engine flushes it.
+  /// Default service cadence of the comm progress engine
+  /// (--comm-progress): the maximum age a non-empty coalescing buffer
+  /// reaches before the engine flushes it.
   TimePs progress_interval() const { return params_.comm_progress_interval; }
 
   /// Wire bytes of one sub-message header inside an aggregate.

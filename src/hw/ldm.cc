@@ -4,19 +4,21 @@
 
 namespace usw::hw {
 
-Ldm::Ldm(std::size_t capacity_bytes) : storage_(capacity_bytes) {
+Ldm::Ldm(std::size_t capacity_bytes)
+    : storage_((capacity_bytes + kAlign - 1) / kAlign),
+      capacity_(capacity_bytes) {
   USW_ASSERT_MSG(capacity_bytes > 0, "LDM capacity must be positive");
 }
 
 void* Ldm::alloc_bytes(std::size_t bytes, std::size_t align) {
   std::size_t offset = (used_ + align - 1) / align * align;
-  if (offset + bytes > storage_.size()) {
+  if (offset + bytes > capacity_) {
     throw ResourceError("LDM overflow: request of " + std::to_string(bytes) +
-                        " B with " + std::to_string(storage_.size() - used_) +
-                        " B free of " + std::to_string(storage_.size()) + " B");
+                        " B with " + std::to_string(capacity_ - used_) +
+                        " B free of " + std::to_string(capacity_) + " B");
   }
   used_ = offset + bytes;
-  return storage_.data() + offset;
+  return reinterpret_cast<std::byte*>(storage_.data()) + offset;
 }
 
 }  // namespace usw::hw

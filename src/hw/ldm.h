@@ -21,18 +21,23 @@ namespace usw::hw {
 
 class Ldm {
  public:
+  /// Alignment of every allocation (the SIMD width). The storage base is
+  /// over-aligned to it, so an aligned offset is an aligned pointer.
+  static constexpr std::size_t kAlign = 32;
+
   explicit Ldm(std::size_t capacity_bytes);
 
-  std::size_t capacity() const { return storage_.size(); }
+  std::size_t capacity() const { return capacity_; }
   std::size_t used() const { return used_; }
-  std::size_t remaining() const { return storage_.size() - used_; }
+  std::size_t remaining() const { return capacity_ - used_; }
 
   /// Allocates `count` elements of T, 32-byte aligned (SIMD width).
   /// Throws ResourceError if the working set would exceed the capacity —
   /// the equivalent of an athread LDM overflow.
   template <typename T>
   std::span<T> alloc(std::size_t count) {
-    void* p = alloc_bytes(count * sizeof(T), alignof(T) > 32 ? alignof(T) : 32);
+    void* p = alloc_bytes(count * sizeof(T),
+                          alignof(T) > kAlign ? alignof(T) : kAlign);
     return std::span<T>(static_cast<T*>(p), count);
   }
 
@@ -42,7 +47,13 @@ class Ldm {
  private:
   void* alloc_bytes(std::size_t bytes, std::size_t align);
 
-  std::vector<std::byte> storage_;
+  /// One SIMD line; std::allocator honours its over-alignment.
+  struct alignas(kAlign) Line {
+    std::byte bytes[kAlign];
+  };
+
+  std::vector<Line> storage_;  ///< capacity rounded up to whole lines
+  std::size_t capacity_;
   std::size_t used_ = 0;
 };
 

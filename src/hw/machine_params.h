@@ -130,9 +130,9 @@ struct MachineParams {
   /// pays before its payload moves; eager messages skip it but pay the
   /// bounce-buffer copy at pack_bw_bytes_per_s instead.
   TimePs comm_rdv_handshake = 30 * kMicrosecond;
-  /// Default service cadence of the dedicated progress engine
-  /// (--comm-progress=engine): the maximum age a non-empty coalescing
-  /// buffer may reach before the engine flushes it. Set to the latency one
+  /// Default service cadence of the comm progress engine
+  /// (--comm-progress): the maximum age a non-empty coalescing buffer
+  /// may reach before the engine flushes it. Set to the latency one
   /// aggregate flush adds to a buffered message (post overhead + MPI
   /// software latency + wire latency), so engine-deferred flushes never
   /// delay a message by more than one flush already costs.

@@ -65,9 +65,9 @@ struct PerfCounters {
   /// per aggregate wastes header bytes and goes negative.
   std::int64_t agg_bytes_saved = 0;
 
-  // Progress engine (--comm-progress=engine): work the dedicated engine
-  // performed at its virtual-time deadlines, as opposed to progress
-  // piggybacked on application test/flush calls.
+  // Progress engine (--comm-progress): work the engine performed at its
+  // virtual-time deadlines. All zero with aggregation off and no message
+  // loss.
   std::uint64_t progress_polls = 0;               ///< deadline services run
   std::uint64_t progress_flushes_driven = 0;      ///< buffer flushes it drove
   std::uint64_t progress_retransmits_driven = 0;  ///< retransmits it drove

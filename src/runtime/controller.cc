@@ -536,7 +536,9 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
                             static_cast<double>(c.mpi_posts));
     }
 
-    if (config.collect_metrics && config.comm_progress.engine) {
+    // Every driven flush or retransmit happens inside a deadline service,
+    // so zero polls means the engine never ran (aggregation off, no loss).
+    if (config.collect_metrics && out.counters.progress_polls != 0) {
       const hw::PerfCounters& c = out.counters;
       out.obs_metrics.count("comm.progress.polls",
                             static_cast<double>(c.progress_polls));

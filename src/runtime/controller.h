@@ -76,13 +76,13 @@ struct RunConfig {
   /// enabled; only virtual comm timing (and the comm.agg.* metrics) move.
   comm::AggSpec comm_agg;
 
-  /// Communication progress mode (uswsim --comm-progress, see
-  /// comm/progress.h). Inline (default) reproduces the historical
-  /// behavior: progress piggybacks on test/flush calls. The engine
-  /// services aggregate-buffer age deadlines, deferred rendezvous
+  /// Communication progress policy (uswsim --comm-progress, see
+  /// comm/progress.h): the buffer-age interval of the progress engine,
+  /// which services aggregate-buffer age deadlines, deferred rendezvous
   /// handshakes, and lost-send retransmit deadlines at deterministic
-  /// virtual-time intervals instead; numerics stay bit-equal, virtual
-  /// comm timing (and comm.progress.* metrics) move.
+  /// virtual times. The interval only matters with aggregation on;
+  /// numerics stay bit-equal, virtual comm timing (and comm.progress.*
+  /// metrics) move.
   comm::ProgressSpec comm_progress;
 
   // Future-work options (paper Sec IX), orthogonal to the variant:

@@ -189,13 +189,10 @@ void Scheduler::post_send(task::TaskContext& ctx, const task::ExtComm& sc,
 
 void Scheduler::post_initial_sends(task::TaskContext& ctx) {
   // Old-DW ghost data is complete at step start; ship it immediately.
-  // With aggregation on this burst coalesces into (at most) one aggregate
-  // per neighbor, posted by the flush.
+  // With aggregation on the buffers keep coalescing across task
+  // boundaries; the progress engine's age deadline (or the size/count
+  // policy) flushes them.
   for (const task::ExtComm& sc : graph_.initial_sends) post_send(ctx, sc);
-  // With the progress engine on, the buffers keep coalescing across task
-  // boundaries; the engine's age deadline (or the size/count policy)
-  // flushes them instead of this defensive burst-boundary flush.
-  if (!comm_.progress().engine) comm_.flush_sends();
 }
 
 int Scheduler::pick_ready(int want_stencil) {
@@ -567,10 +564,8 @@ void Scheduler::on_finished(task::TaskContext& ctx, int dt_index) {
   trace_.record(comm_.now(), sim::EventKind::kTaskEnd,
                 dt.task->name() + " p" + std::to_string(dt.patch_id),
                 sim::EventIds{step_, dt_index, dt.patch_id, -1, -1, -1, 0});
-  // Sec V-C 3(b)i: post nonblocking sends for the completed task — one
-  // aggregate per neighbor when aggregation is on.
+  // Sec V-C 3(b)i: post nonblocking sends for the completed task.
   for (const task::ExtComm& sc : dt.sends) post_send(ctx, sc, dt_index);
-  if (!comm_.progress().engine) comm_.flush_sends();
   for (int succ : dt.successors) {
     DtState& ss = state_[static_cast<std::size_t>(succ)];
     USW_ASSERT(ss.pending_preds > 0);

@@ -1,10 +1,11 @@
-// Tests for the dedicated communication progress engine (comm/progress.h,
-// --comm-progress): spec parsing, deadline-driven aggregate flushes, the
-// retransmit-stall regression the engine exists to fix (a lost send whose
-// owner is waiting on a DIFFERENT request), shutdown/reset hygiene for
-// buffered aggregates, and the central claim that numerics stay bit-equal
-// with the engine on or off — per variant, under faults, across the
-// serial/parallel coordinators, and across checkpoint-restart.
+// Tests for the communication progress engine (comm/progress.h,
+// --comm-progress), which every endpoint runs: spec parsing,
+// deadline-driven aggregate flushes, the retransmit-stall regression (a
+// lost send whose owner is waiting on a DIFFERENT request), shutdown/reset
+// hygiene for buffered aggregates, and the central claim that numerics
+// stay bit-equal — per variant, with aggregation on or off, under faults,
+// across the serial/parallel coordinators, for any flush interval, and
+// across checkpoint-restart.
 
 #include <gtest/gtest.h>
 
@@ -33,11 +34,11 @@ namespace fs = std::filesystem;
 hw::MachineParams machine() { return hw::MachineParams::sunway_taihulight(); }
 
 /// Runs `body(comm, rank)` across `n` simulated ranks with aggregation
-/// `agg` and progress mode `progress` installed, retransmission on, and
-/// per-rank counters collected into `counters` (sized to n when non-null).
+/// `agg` installed, the default progress policy (no set_progress call),
+/// retransmission on, and per-rank counters collected into `counters`
+/// (sized to n when non-null).
 template <typename Fn>
-void with_progress_ranks(int n, const AggSpec& agg, const ProgressSpec& progress,
-                         Fn&& body,
+void with_progress_ranks(int n, const AggSpec& agg, Fn&& body,
                          std::vector<hw::PerfCounters>* counters = nullptr,
                          const fault::FaultPlan* plan = nullptr) {
   const hw::CostModel cost(machine());
@@ -49,7 +50,6 @@ void with_progress_ranks(int n, const AggSpec& agg, const ProgressSpec& progress
               counters != nullptr ? &(*counters)[rank] : nullptr);
     comm.set_retransmit(true);
     comm.set_agg(agg);
-    comm.set_progress(progress);
     body(comm, rank);
   });
 }
@@ -67,21 +67,20 @@ std::string str_of(const std::vector<std::byte>& b) {
 // ---------------------------------------------------------------------------
 // ProgressSpec parsing.
 
-TEST(ProgressSpec, ParsesInlineAndDefaults) {
-  EXPECT_FALSE(ProgressSpec::parse("inline").engine);
-  EXPECT_FALSE(ProgressSpec::parse("").engine);
-  const ProgressSpec eng = ProgressSpec::parse("engine");
-  EXPECT_TRUE(eng.engine);
-  EXPECT_EQ(eng.interval_us, -1);  // interval from the cost model
-  EXPECT_EQ(eng.describe(), "engine");
-  EXPECT_EQ(ProgressSpec::parse("inline").describe(), "inline");
+TEST(ProgressSpec, ParsesDefaultAndRejectsModeNames) {
+  const ProgressSpec def = ProgressSpec::parse("");
+  EXPECT_EQ(def.interval_us, -1);  // interval from the cost model
+  EXPECT_EQ(def.describe(), "default");
+  // Deadline-driven progress is the only path: there is no mode to pick.
+  EXPECT_THROW(ProgressSpec::parse("inline"), ConfigError);
+  EXPECT_THROW(ProgressSpec::parse("engine"), ConfigError);
+  EXPECT_THROW(ProgressSpec::parse("engine:interval=50"), ConfigError);
 }
 
 TEST(ProgressSpec, ParsesExplicitInterval) {
-  const ProgressSpec spec = ProgressSpec::parse("engine:interval=50");
-  EXPECT_TRUE(spec.engine);
+  const ProgressSpec spec = ProgressSpec::parse("interval=50");
   EXPECT_EQ(spec.interval_us, 50);
-  EXPECT_EQ(spec.describe(), "engine:interval=50");
+  EXPECT_EQ(spec.describe(), "interval=50");
   // describe() round-trips through parse().
   const ProgressSpec again = ProgressSpec::parse(spec.describe());
   EXPECT_EQ(again.interval_us, spec.interval_us);
@@ -89,26 +88,24 @@ TEST(ProgressSpec, ParsesExplicitInterval) {
 
 TEST(ProgressSpec, RejectsMalformedSpecs) {
   EXPECT_THROW(ProgressSpec::parse("turbo"), ConfigError);
-  EXPECT_THROW(ProgressSpec::parse("engine:cadence=5"), ConfigError);
-  EXPECT_THROW(ProgressSpec::parse("engine:interval="), ConfigError);
-  EXPECT_THROW(ProgressSpec::parse("engine:interval=banana"), ConfigError);
-  EXPECT_THROW(ProgressSpec::parse("engine:interval=12x"), ConfigError);
+  EXPECT_THROW(ProgressSpec::parse("cadence=5"), ConfigError);
+  EXPECT_THROW(ProgressSpec::parse("interval="), ConfigError);
+  EXPECT_THROW(ProgressSpec::parse("interval=banana"), ConfigError);
+  EXPECT_THROW(ProgressSpec::parse("interval=12x"), ConfigError);
   // A zero or negative cadence can never fire: rejected at parse time.
-  EXPECT_THROW(ProgressSpec::parse("engine:interval=0"), ConfigError);
-  EXPECT_THROW(ProgressSpec::parse("engine:interval=-5"), ConfigError);
+  EXPECT_THROW(ProgressSpec::parse("interval=0"), ConfigError);
+  EXPECT_THROW(ProgressSpec::parse("interval=-5"), ConfigError);
 }
 
 TEST(ProgressSpec, ValidateRejectsOutOfRangeInterval) {
   ProgressSpec spec;
-  spec.engine = true;
   spec.interval_us = 0;
   EXPECT_THROW(spec.validate(), ConfigError);
   spec.interval_us = -7;
   EXPECT_THROW(spec.validate(), ConfigError);
   spec.interval_us = -1;  // the cost-model sentinel stays valid
   EXPECT_NO_THROW(spec.validate());
-  spec.engine = false;
-  spec.interval_us = 0;  // ignored when the engine is off
+  spec.interval_us = 5;
   EXPECT_NO_THROW(spec.validate());
 }
 
@@ -119,7 +116,7 @@ TEST(ProgressSpec, ValidateRejectsOutOfRangeInterval) {
 TEST(CommProgress, EngineFlushesAgedBufferAtDeadline) {
   std::vector<hw::PerfCounters> counters;
   with_progress_ranks(
-      2, AggSpec::parse("on"), ProgressSpec::parse("engine"),
+      2, AggSpec::parse("on"),
       [](Comm& comm, int rank) {
         if (rank == 0) {
           // Buffered (Bsend-style complete at append); nothing below the
@@ -146,12 +143,12 @@ TEST(CommProgress, EngineFlushesAgedBufferAtDeadline) {
 }
 
 // ---------------------------------------------------------------------------
-// The retransmit stall (the bug this PR fixes). A send is lost; its owner
-// never tests THAT request — it waits on a different one whose completion
-// transitively depends on the lost send being retransmitted. Inline-mode
-// progress only fires a retransmit timer from a test of the lost request
-// itself, so the exchange deadlocks in virtual time. The engine services
-// the retransmit deadline no matter what the application is waiting on.
+// The retransmit stall. A send is lost; its owner never tests THAT
+// request — it waits on a different one whose completion transitively
+// depends on the lost send being retransmitted. Progress that only fires
+// a retransmit timer from a test of the lost request itself deadlocks
+// here in virtual time; the engine services the retransmit deadline no
+// matter what the application is waiting on, with no flag needed.
 
 constexpr int kStallTag = 1;
 constexpr int kReplyTag = 2;
@@ -174,21 +171,11 @@ void stall_scenario(Comm& comm, int rank) {
   }
 }
 
-TEST(CommProgress, LostUntestedSendDeadlocksInline) {
-  const fault::FaultPlan plan = fault::FaultPlan::parse("msg_loss:p=1", 3);
-  EXPECT_THROW(
-      with_progress_ranks(
-          2, AggSpec{}, ProgressSpec::parse("inline"),
-          [](Comm& comm, int rank) { stall_scenario(comm, rank); }, nullptr,
-          &plan),
-      StateError);  // virtual-time deadlock, detected and surfaced
-}
-
 TEST(CommProgress, LostUntestedSendRecoversUnderEngine) {
   const fault::FaultPlan plan = fault::FaultPlan::parse("msg_loss:p=1", 3);
   std::vector<hw::PerfCounters> counters;
   with_progress_ranks(
-      2, AggSpec{}, ProgressSpec::parse("engine"),
+      2, AggSpec{},
       [](Comm& comm, int rank) { stall_scenario(comm, rank); }, &counters,
       &plan);
   hw::PerfCounters sum;
@@ -206,7 +193,7 @@ TEST(CommProgress, LostAggregateRecoversUnderEngine) {
   const fault::FaultPlan plan = fault::FaultPlan::parse("msg_loss:p=1", 5);
   std::vector<hw::PerfCounters> counters;
   with_progress_ranks(
-      2, AggSpec::parse("on"), ProgressSpec::parse("engine"),
+      2, AggSpec::parse("on"),
       [](Comm& comm, int rank) { stall_scenario(comm, rank); }, &counters,
       &plan);
   hw::PerfCounters sum;
@@ -221,7 +208,7 @@ TEST(CommProgress, LostAggregateRecoversUnderEngine) {
 
 TEST(CommProgress, ResetRequestsFlushesEngineBufferedAggregates) {
   with_progress_ranks(
-      2, AggSpec::parse("on"), ProgressSpec::parse("engine"),
+      2, AggSpec::parse("on"),
       [](Comm& comm, int rank) {
         if (rank == 0) {
           const RequestId s = comm.isend(1, 9, bytes_of("pre-reset"));
@@ -252,6 +239,9 @@ runtime::RunConfig e2e_config() {
 }
 
 TEST(CommProgressE2E, NumericsBitEqualAcrossVariants) {
+  // serial/parallel coordinator x aggregation off/on, per variant class:
+  // identical numerics everywhere, and byte-equal step walls and comm
+  // counters between the coordinators for each aggregation setting.
   for (const std::string variant :
        {"host.sync", "acc.sync", "acc_simd.sync", "acc.async",
         "acc_simd.async"}) {
@@ -259,36 +249,33 @@ TEST(CommProgressE2E, NumericsBitEqualAcrossVariants) {
     base.variant = runtime::variant_by_name(variant);
     const runtime::RunResult ref =
         runtime::run_simulation(base, apps::burgers::BurgersApp());
+    for (const char* agg : {"off", "on"}) {
+      runtime::RunConfig cfg = base;
+      cfg.comm_agg = AggSpec::parse(agg);
+      const runtime::RunResult serial =
+          runtime::run_simulation(cfg, apps::burgers::BurgersApp());
+      cfg.coordinator = sim::CoordinatorSpec::parse("parallel");
+      const runtime::RunResult parallel =
+          runtime::run_simulation(cfg, apps::burgers::BurgersApp());
+      EXPECT_TRUE(parallel.coordinator_fallback.empty());
 
-    runtime::RunConfig eng = base;
-    eng.comm_progress = ProgressSpec::parse("engine");
-    const runtime::RunResult engine_only =
-        runtime::run_simulation(eng, apps::burgers::BurgersApp());
-
-    runtime::RunConfig agg = base;
-    agg.comm_agg = AggSpec::parse("on");
-    const runtime::RunResult agg_only =
-        runtime::run_simulation(agg, apps::burgers::BurgersApp());
-
-    runtime::RunConfig both = agg;
-    both.comm_progress = ProgressSpec::parse("engine");
-    const runtime::RunResult agg_engine =
-        runtime::run_simulation(both, apps::burgers::BurgersApp());
-
-    ASSERT_EQ(ref.ranks.size(), agg_engine.ranks.size());
-    for (std::size_t r = 0; r < ref.ranks.size(); ++r) {
-      EXPECT_EQ(ref.ranks[r].metrics, engine_only.ranks[r].metrics)
-          << variant << " rank " << r << " (engine, agg off)";
-      EXPECT_EQ(ref.ranks[r].metrics, agg_engine.ranks[r].metrics)
-          << variant << " rank " << r << " (engine, agg on)";
+      ASSERT_EQ(ref.ranks.size(), parallel.ranks.size());
+      for (std::size_t r = 0; r < ref.ranks.size(); ++r) {
+        EXPECT_EQ(ref.ranks[r].metrics, serial.ranks[r].metrics)
+            << variant << " agg " << agg << " rank " << r;
+        EXPECT_EQ(ref.ranks[r].metrics, parallel.ranks[r].metrics)
+            << variant << " agg " << agg << " rank " << r;
+        EXPECT_EQ(serial.ranks[r].step_walls, parallel.ranks[r].step_walls)
+            << variant << " agg " << agg << " rank " << r;
+      }
+      const hw::PerfCounters cs = serial.merged_counters();
+      const hw::PerfCounters cp = parallel.merged_counters();
+      EXPECT_EQ(cs.messages_sent, ref.merged_counters().messages_sent)
+          << variant << " agg " << agg;
+      EXPECT_EQ(cs.mpi_posts, cp.mpi_posts) << variant << " agg " << agg;
+      EXPECT_EQ(cs.progress_polls, cp.progress_polls)
+          << variant << " agg " << agg;
     }
-    // Identical logical message stream; cross-burst coalescing means the
-    // engine never posts MORE wire messages than burst-boundary flushing.
-    const hw::PerfCounters ca = agg_only.merged_counters();
-    const hw::PerfCounters cb = agg_engine.merged_counters();
-    EXPECT_EQ(ca.messages_sent, cb.messages_sent) << variant;
-    EXPECT_LE(cb.mpi_posts, ca.mpi_posts) << variant;
-    EXPECT_GT(cb.progress_polls, 0u) << variant;
   }
 }
 
@@ -296,10 +283,10 @@ TEST(CommProgressE2E, IntervalMovesTimingNeverNumerics) {
   runtime::RunConfig cfg = e2e_config();
   cfg.variant = runtime::variant_by_name("acc_simd.async");
   cfg.comm_agg = AggSpec::parse("on");
-  cfg.comm_progress = ProgressSpec::parse("engine:interval=5");
+  cfg.comm_progress = ProgressSpec::parse("interval=5");
   const runtime::RunResult fast =
       runtime::run_simulation(cfg, apps::burgers::BurgersApp());
-  cfg.comm_progress = ProgressSpec::parse("engine:interval=100");
+  cfg.comm_progress = ProgressSpec::parse("interval=100");
   const runtime::RunResult slow =
       runtime::run_simulation(cfg, apps::burgers::BurgersApp());
   ASSERT_EQ(fast.ranks.size(), slow.ranks.size());
@@ -307,6 +294,9 @@ TEST(CommProgressE2E, IntervalMovesTimingNeverNumerics) {
     EXPECT_EQ(fast.ranks[r].metrics, slow.ranks[r].metrics) << "rank " << r;
 }
 
+// Message loss with the default configuration (aggregation off): the
+// engine drives retransmits at their deadlines and the numerics match the
+// clean run bit for bit.
 TEST(CommProgressE2E, FaultedRunStaysBitEqualWithEngine) {
   runtime::RunConfig clean_cfg = e2e_config();
   clean_cfg.variant = runtime::variant_by_name("acc.async");
@@ -314,36 +304,36 @@ TEST(CommProgressE2E, FaultedRunStaysBitEqualWithEngine) {
       runtime::run_simulation(clean_cfg, apps::burgers::BurgersApp());
 
   runtime::RunConfig cfg = clean_cfg;
-  cfg.comm_agg = AggSpec::parse("on");
-  cfg.comm_progress = ProgressSpec::parse("engine");
   cfg.faults =
       fault::FaultPlan::parse("msg_loss:p=0.2,msg_delay:p=0.2:factor=10", 13);
   const runtime::RunResult faulted =
       runtime::run_simulation(cfg, apps::burgers::BurgersApp());
 
-  EXPECT_GT(faulted.merged_counters().fault_injected, 0u);
+  const hw::PerfCounters c = faulted.merged_counters();
+  EXPECT_GT(c.fault_injected, 0u);
+  EXPECT_GT(c.progress_retransmits_driven, 0u);
   ASSERT_EQ(clean.ranks.size(), faulted.ranks.size());
   for (std::size_t r = 0; r < clean.ranks.size(); ++r)
     EXPECT_EQ(clean.ranks[r].metrics, faulted.ranks[r].metrics)
         << "rank " << r;
 }
 
-// Serial vs parallel coordinator with the engine on. Under the parallel
-// coordinator each rank gets a dedicated host progress thread (the
-// grant-handoff contract in sim/coordinator.h); virtual results must stay
-// byte-equal down to per-step walls. Also the TSan coverage for the
-// progress-thread handoff.
+// Serial vs parallel coordinator with aggregation on and a short flush
+// interval, so buffer-age deadlines fire often while ranks run
+// concurrently; virtual results must stay byte-equal down to per-step
+// walls.
 TEST(CommProgressE2E, SerialAndParallelCoordinatorsBitEqualWithEngine) {
   runtime::RunConfig cfg = e2e_config();
   cfg.variant = runtime::variant_by_name("acc_simd.async");
   cfg.comm_agg = AggSpec::parse("on");
-  cfg.comm_progress = ProgressSpec::parse("engine");
+  cfg.comm_progress = ProgressSpec::parse("interval=5");
   const runtime::RunResult serial =
       runtime::run_simulation(cfg, apps::burgers::BurgersApp());
   cfg.coordinator = sim::CoordinatorSpec::parse("parallel");
   const runtime::RunResult parallel =
       runtime::run_simulation(cfg, apps::burgers::BurgersApp());
   EXPECT_TRUE(parallel.coordinator_fallback.empty());
+  EXPECT_GT(serial.merged_counters().progress_flushes_driven, 0u);
 
   ASSERT_EQ(serial.ranks.size(), parallel.ranks.size());
   for (std::size_t r = 0; r < serial.ranks.size(); ++r) {
@@ -353,7 +343,7 @@ TEST(CommProgressE2E, SerialAndParallelCoordinatorsBitEqualWithEngine) {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint-restart with buffered aggregates armed under the engine: a
+// Checkpoint-restart with buffered aggregates armed by the engine: a
 // run killed mid-way and continued from its archive ends up byte-equal to
 // the uninterrupted run — no sub-message is stranded in a coalescing
 // buffer across the checkpoint boundary.
@@ -378,7 +368,6 @@ TEST(CommProgressE2E, RestartArchiveByteEqualWithEngine) {
   runtime::RunConfig config = e2e_config();
   config.variant = runtime::variant_by_name("acc.async");
   config.comm_agg = AggSpec::parse("on");
-  config.comm_progress = ProgressSpec::parse("engine");
   config.timesteps = 6;
   config.output_interval = 2;
   config.output_dir = dir_full;

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "hw/cost_model.h"
 #include "hw/ldm.h"
 #include "hw/machine_params.h"
@@ -173,6 +175,19 @@ TEST(Ldm, AlignsTo32Bytes) {
   (void)ldm.alloc<double>(1);  // 8 bytes
   auto b = ldm.alloc<double>(4);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b.data()) % 32, 0u);
+  // The first allocation sits at the storage base, so its alignment must
+  // not depend on where the heap happened to place the buffer. Several
+  // live instances of different sizes (the largest is served by mmap,
+  // whose chunk header leaves a plain operator new 16 bytes off a
+  // 32-byte boundary) make a merely 16-byte-aligned base show up.
+  std::vector<Ldm> ldms;
+  for (std::size_t size : {40, 100, 1000, 4096, 64 * 1024, 256 * 1024})
+    ldms.emplace_back(size);
+  for (Ldm& l : ldms) {
+    auto first = l.alloc<char>(1);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(first.data()) % 32, 0u)
+        << "capacity " << l.capacity();
+  }
 }
 
 TEST(Ldm, ExactFit) {
