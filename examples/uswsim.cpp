@@ -76,9 +76,8 @@ void print_help() {
       "                                window (min message latency) runs\n"
       "                                concurrently, capped at N host threads\n"
       "                                (default: one per core). Bit-identical\n"
-      "                                output either way; planes needing a\n"
-      "                                total grant order (--schedule, msg\n"
-      "                                faults, --metrics-stream) fall back\n"
+      "                                output either way; --schedule needs\n"
+      "                                a total grant order and falls back\n"
       "                                to serial automatically\n"
       "  --comm-agg=off|on|size=B,count=N[,rdv=BYTES]\n"
       "                                message aggregation: coalesce same-\n"

@@ -41,11 +41,13 @@ Network::Delivery Network::deliver(Message msg, int attempt) {
   USW_ASSERT(msg.dst >= 0 && msg.dst < size());
   Delivery result{DeliveryStatus::kDelivered, msg.arrival};
   if (fault_ != nullptr) {
-    if (attempt < kMaxSendAttempts && fault_->msg_lost(msg.seq, attempt)) {
+    if (attempt < kMaxSendAttempts &&
+        fault_->msg_lost(msg.src, msg.seq, attempt)) {
       result.status = DeliveryStatus::kLost;
       return result;  // dropped on the wire: never enqueued
     }
-    if (const auto factor = fault_->msg_delay_factor(msg.seq, attempt)) {
+    if (const auto factor =
+            fault_->msg_delay_factor(msg.src, msg.seq, attempt)) {
       const double extra = (*factor - 1.0) *
                            static_cast<double>(cost_.params().net_latency);
       msg.arrival += static_cast<TimePs>(extra);
@@ -259,7 +261,7 @@ void Comm::recompute_agg_deadline() {
 }
 
 std::uint64_t Comm::wire_seq() {
-  const std::uint64_t seq = net_.next_seq();
+  const std::uint64_t seq = wire_seq_++;
   return agg_.enabled ? seq * kAggSeqStride : seq;
 }
 
@@ -640,9 +642,10 @@ void Comm::match_visible() {
   if (box.empty()) return;
   const TimePs now = coord_.now(rank_);
   // Deliver messages in send order (MPI non-overtaking rule) to pending
-  // receives in post order.
-  std::sort(box.begin(), box.end(),
-            [](const Message& a, const Message& b) { return a.seq < b.seq; });
+  // receives in post order. Seqs are per sender, so the src breaks ties.
+  std::sort(box.begin(), box.end(), [](const Message& a, const Message& b) {
+    return a.seq != b.seq ? a.seq < b.seq : a.src < b.src;
+  });
   // Group the visible messages into (src, tag) classes in head-seq order.
   // MPI only orders delivery WITHIN a class, so the class interleaving is
   // a schedule point: the controller picks which class goes first. A

@@ -58,24 +58,21 @@
 // nothing and changes no virtual time.
 //
 // Thread safety: the Network object is shared by all rank threads. Under
-// the serial coordinator only the token-holding rank touches it, with the
-// coordinator's mutex providing the happens-before edges. Under the
-// parallel coordinator several granted ranks run concurrently, so the two
-// genuinely shared pieces are synchronized directly: each mailbox has its
-// own mutex (senders push, the owner matches), and the global message
-// sequence counter is atomic. Everything else (request tables, link-free
-// times) is per-rank and only ever touched by its owning rank thread. A
-// Comm must still only be used from the thread running its rank.
+// the parallel coordinator several granted ranks run concurrently, so its
+// one genuinely shared piece, the mailboxes, is synchronized directly:
+// each mailbox has its own mutex (senders push, the owner matches).
+// Everything else (request tables, link-free times, the message sequence
+// counter) is per-rank and only ever touched by its owning rank thread. A
+// Comm must only be used from the thread running its rank.
 //
-// Determinism under concurrent sends: seq values are assigned in host
-// order, so two ranks sending in the same window may get their seqs in
-// either order between runs. That is invisible to results — MPI matching
-// only orders messages WITHIN a (src, tag) class, and a single sender's
-// seqs are still monotone (program order) — but it does mean flight-ring
-// seq values are host-dependent in parallel mode. Fault plans hash the
-// seq, which is why message faults force the serial coordinator.
+// Message identity: a wire seq is drawn from the sending endpoint's own
+// counter, so (src, seq) is a pure function of the sender's program order
+// and never of host scheduling. MPI orders messages only per sender, and
+// the mailbox sorts by (seq, src), which keeps that order and breaks ties
+// between senders deterministically. Fault plans hash (src, seq, attempt)
+// and flight rings record the same seqs, so message faults and
+// diagnostics are identical under every coordinator.
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -120,7 +117,7 @@ struct Message {
   int tag = -1;
   std::uint64_t bytes = 0;
   TimePs arrival = 0;          ///< virtual time it becomes matchable
-  std::uint64_t seq = 0;       ///< global send order, for MPI matching rules
+  std::uint64_t seq = 0;       ///< sender's program order (per src)
   std::vector<std::byte> payload;  ///< empty in timing-only mode
   /// Aggregate wire message: sub-messages coalesced by the sender.
   /// Non-empty => Network::deliver explodes them into ordinary messages
@@ -139,8 +136,9 @@ class Network {
   const hw::CostModel& cost() const { return cost_; }
 
   /// Arms deterministic message faults (msg_delay / msg_loss). The plan
-  /// must outlive the network; nullptr disarms. Decisions hash the global
-  /// message seq, so they are identical across backends and schedulers.
+  /// must outlive the network; nullptr disarms. Decisions hash the
+  /// message's (src, seq), so they are identical across backends and
+  /// coordinators.
   void set_fault_plan(const fault::FaultPlan* plan) { fault_ = plan; }
   const fault::FaultPlan* fault_plan() const { return fault_; }
 
@@ -165,7 +163,8 @@ class Network {
     TimePs arrival = 0;  ///< actual matchable time (incl. injected delay)
   };
 
-  /// Deposits a message (called by the sending rank, token held).
+  /// Deposits a message (called on the sending rank's thread; only the
+  /// destination mailbox is locked, so concurrent senders are safe).
   /// `attempt` counts transmissions of this logical message (1-based).
   /// A kLost result means the message was NOT enqueued; the sender owns
   /// retransmission. kDelayed messages are enqueued at the later arrival.
@@ -186,10 +185,6 @@ class Network {
         box_locks_[static_cast<std::size_t>(rank)]);
   }
 
-  std::uint64_t next_seq() {
-    return seq_.fetch_add(1, std::memory_order_relaxed);
-  }
-
   /// Reserves `src`'s injection link from `post_time` for `bytes`; returns
   /// the time the last byte leaves the NIC.
   TimePs reserve_link(int src, TimePs post_time, std::uint64_t bytes);
@@ -202,7 +197,6 @@ class Network {
   /// One mutex per mailbox (unique_ptr array: std::mutex is immovable).
   std::unique_ptr<std::mutex[]> box_locks_;
   std::vector<TimePs> link_free_;  ///< per-rank NIC free time
-  std::atomic<std::uint64_t> seq_{0};
 };
 
 /// Per-rank endpoint.
@@ -409,8 +403,8 @@ class Comm {
   /// Posts `dst`'s coalescing buffer as one aggregate wire message.
   void flush_dst(int dst);
 
-  /// Next wire seq: the raw global counter, strided when aggregation is on
-  /// so sub-message seqs slot in behind their aggregate.
+  /// Next wire seq: this endpoint's counter, strided when aggregation is
+  /// on so sub-message seqs slot in behind their aggregate.
   std::uint64_t wire_seq();
 
   /// Decodes and validates a RequestId; throws StateError if it is from a
@@ -473,6 +467,7 @@ class Comm {
   std::vector<Request> requests_;
   std::size_t epoch_ = 0;  ///< bumped by reset_requests; stamps RequestIds
   std::uint32_t coll_seq_ = 0;
+  std::uint64_t wire_seq_ = 0;  ///< next unstrided wire seq (see wire_seq)
   AggSpec agg_;
   std::uint64_t rdv_threshold_bytes_ = 0;  ///< resolved at set_agg
   std::vector<AggBuffer> agg_bufs_;        ///< one per destination rank

@@ -197,21 +197,21 @@ bool FaultPlan::dma_error(std::uint64_t incarnation, int rank, int step,
                  u64(task), u64(tile)) < r->probability();
 }
 
-std::optional<double> FaultPlan::msg_delay_factor(std::uint64_t seq,
+std::optional<double> FaultPlan::msg_delay_factor(int src, std::uint64_t seq,
                                                   int attempt) const {
   const FaultRule* r = rule(FaultKind::kMsgDelay);
   if (r == nullptr) return std::nullopt;
-  if (uniform(FaultKind::kMsgDelay, seq, static_cast<std::uint64_t>(attempt), 0,
-              0, 0) >= r->probability())
+  if (uniform(FaultKind::kMsgDelay, static_cast<std::uint64_t>(src), seq,
+              static_cast<std::uint64_t>(attempt), 0, 0) >= r->probability())
     return std::nullopt;
   return r->factor;
 }
 
-bool FaultPlan::msg_lost(std::uint64_t seq, int attempt) const {
+bool FaultPlan::msg_lost(int src, std::uint64_t seq, int attempt) const {
   const FaultRule* r = rule(FaultKind::kMsgLoss);
   if (r == nullptr) return false;
-  return uniform(FaultKind::kMsgLoss, seq, static_cast<std::uint64_t>(attempt),
-                 0, 0, 0) < r->probability();
+  return uniform(FaultKind::kMsgLoss, static_cast<std::uint64_t>(src), seq,
+                 static_cast<std::uint64_t>(attempt), 0, 0) < r->probability();
 }
 
 }  // namespace usw::fault

@@ -106,11 +106,13 @@ class FaultPlan {
   bool dma_error(std::uint64_t incarnation, int rank, int step, int task,
                  int tile) const;
 
-  /// Extra-delay multiplier for message (seq, attempt), if delayed.
-  std::optional<double> msg_delay_factor(std::uint64_t seq, int attempt) const;
+  /// Extra-delay multiplier for sender `src`'s message (seq, attempt), if
+  /// delayed. Seqs are per sender, so `src` is part of the identity.
+  std::optional<double> msg_delay_factor(int src, std::uint64_t seq,
+                                         int attempt) const;
 
-  /// Is message (seq, attempt) lost in the network?
-  bool msg_lost(std::uint64_t seq, int attempt) const;
+  /// Is sender `src`'s message (seq, attempt) lost in the network?
+  bool msg_lost(int src, std::uint64_t seq, int attempt) const;
 
  private:
   const FaultRule* rule(FaultKind kind) const;
@@ -148,8 +150,8 @@ struct RecoveryConfig {
 /// Per-rank view of a FaultPlan: folds the rank id and the restart
 /// incarnation into every decision, so replayed steps after a
 /// restart-from-checkpoint see fresh fault draws. (Message-level faults
-/// key on the network sequence number, which is monotonic across
-/// restarts, and bypass the injector.)
+/// key on the sender's message seq, which is monotonic across restarts,
+/// and bypass the injector.)
 class FaultInjector {
  public:
   FaultInjector(const FaultPlan& plan, int rank) : plan_(&plan), rank_(rank) {}

@@ -93,6 +93,8 @@ struct PerfCounters {
   void merge(const PerfCounters& other);
 
   std::string summary() const;
+
+  bool operator==(const PerfCounters&) const = default;
 };
 
 }  // namespace usw::hw

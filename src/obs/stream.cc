@@ -1,5 +1,6 @@
 #include "obs/stream.h"
 
+#include <algorithm>
 #include <cctype>
 
 #include "obs/json_writer.h"
@@ -30,9 +31,10 @@ StreamSpec StreamSpec::parse(const std::string& spec) {
 }
 
 MetricsStreamer::MetricsStreamer(const StreamSpec& spec, int nranks, int timesteps)
-    : out_(spec.file, std::ios::trunc),
+    : nranks_(nranks),
       interval_(spec.interval),
-      start_(std::chrono::steady_clock::now()) {
+      start_(std::chrono::steady_clock::now()),
+      out_(spec.file, std::ios::trunc) {
   if (!out_) throw ResourceError("cannot open metrics stream file: " + spec.file);
   const BuildInfo& b = build_info();
   JsonWriter w(out_, 0);
@@ -53,40 +55,38 @@ MetricsStreamer::MetricsStreamer(const StreamSpec& spec, int nranks, int timeste
   out_.flush();
 }
 
-void MetricsStreamer::emit(int step, TimePs now,
-                           const std::vector<const hw::PerfCounters*>& ranks,
-                           std::size_t pool_queue_depth) {
+void MetricsStreamer::contribute(int step, int rank, TimePs now,
+                                 const hw::PerfCounters& counters,
+                                 std::size_t pool_queue_depth) {
+  const std::lock_guard<std::mutex> lk(mu_);
+  Partial& p = partial_[step];
+  if (p.by_rank.empty()) p.by_rank.resize(static_cast<std::size_t>(nranks_));
+  p.by_rank.at(static_cast<std::size_t>(rank)) = counters;
+  p.t_ps = std::max(p.t_ps, now);
+  if (++p.arrived < nranks_) return;
+  hw::PerfCounters sum;
+  for (const hw::PerfCounters& c : p.by_rank) sum.merge(c);
   const double wall_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
                                                 start_)
           .count();
-  double flops = 0.0;
-  std::uint64_t msgs = 0, bytes = 0, offloads = 0, faults = 0;
-  TimePs wait = 0;
-  for (const hw::PerfCounters* c : ranks) {
-    flops += c->counted_flops;
-    msgs += c->messages_sent;
-    bytes += c->bytes_sent;
-    offloads += c->kernels_offloaded;
-    faults += c->fault_injected;
-    wait += c->wait_time;
-  }
   JsonWriter w(out_, 0);
   w.begin_object();
   w.kv("step", step);
-  w.kv("t_ps", static_cast<std::int64_t>(now));
+  w.kv("t_ps", static_cast<std::int64_t>(p.t_ps));
   w.kv("wall_ms", wall_ms);
-  w.kv("counted_flops", flops);
-  w.kv("messages_sent", msgs);
-  w.kv("bytes_sent", bytes);
-  w.kv("kernels_offloaded", offloads);
-  w.kv("fault_injected", faults);
-  w.kv("wait_ps", static_cast<std::int64_t>(wait));
+  w.kv("counted_flops", sum.counted_flops);
+  w.kv("messages_sent", sum.messages_sent);
+  w.kv("bytes_sent", sum.bytes_sent);
+  w.kv("kernels_offloaded", sum.kernels_offloaded);
+  w.kv("fault_injected", sum.fault_injected);
+  w.kv("wait_ps", static_cast<std::int64_t>(sum.wait_time));
   w.kv("pool_queue_depth", static_cast<std::uint64_t>(pool_queue_depth));
   w.end_object();
   out_ << '\n';
   out_.flush();
-  ++snapshots_;
+  // A restart-from-checkpoint replays the step: it starts a fresh entry.
+  partial_.erase(step);
 }
 
 }  // namespace usw::obs

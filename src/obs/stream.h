@@ -5,12 +5,18 @@
 // observed mid-run instead of only post-mortem.
 //
 // Wire format: the first line is a header record ({"stream":"uswsim", run
-// shape, build provenance}); each subsequent line is one snapshot taken at
-// a timestep boundary by rank 0 while it holds the coordinator token — so
-// all virtual-plane fields are deterministic; only wall_ms is host-noisy.
+// shape, build provenance}); each subsequent line is one snapshot of a
+// timestep. Every rank contributes its own counters at its own end of that
+// step; the streamer sums the contributions and the last rank to arrive
+// writes the line, so lines come out in step order. t_ps is the latest
+// step-end time over the ranks. Each rank reads only its own counters, so
+// every virtual-plane field is identical under every coordinator; only
+// wall_ms and pool_queue_depth are host-noisy.
 
 #include <chrono>
 #include <fstream>
+#include <map>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -38,20 +44,31 @@ class MetricsStreamer {
   /// IoError if the file cannot be opened.
   MetricsStreamer(const StreamSpec& spec, int nranks, int timesteps);
 
-  /// Appends one snapshot line and flushes. Caller contract: invoked by a
-  /// single thread (rank 0) while it holds the coordinator token, so the
-  /// other ranks' PerfCounters are quiescent and safe to read.
-  void emit(int step, TimePs now, const std::vector<const hw::PerfCounters*>& ranks,
-            std::size_t pool_queue_depth);
+  /// Records `rank`'s counters at its end of `step` (virtual time `now`).
+  /// Thread-safe: ranks call it concurrently. The call that completes the
+  /// step (the nranks-th contribution) sums the snapshots in rank order —
+  /// the fold RunResult::merged_counters uses, so the floating-point sum
+  /// does not depend on arrival order — appends the line and flushes.
+  void contribute(int step, int rank, TimePs now,
+                  const hw::PerfCounters& counters,
+                  std::size_t pool_queue_depth);
 
   int interval() const { return interval_; }
-  std::uint64_t snapshots() const { return snapshots_; }
 
  private:
-  std::ofstream out_;
+  /// Contributions to one step so far.
+  struct Partial {
+    std::vector<hw::PerfCounters> by_rank;
+    TimePs t_ps = 0;  ///< latest step-end time among the contributors
+    int arrived = 0;
+  };
+
+  int nranks_;
   int interval_;
-  std::uint64_t snapshots_ = 0;
   std::chrono::steady_clock::time_point start_;
+  std::mutex mu_;  ///< guards out_ and partial_
+  std::ofstream out_;
+  std::map<int, Partial> partial_;
 };
 
 }  // namespace usw::obs

@@ -156,26 +156,16 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
       config.machine.net_latency + config.machine.mpi_sw_latency;
 
   // Effective coordinator mode. The parallel (windowed) coordinator is
-  // bit-identical to serial only when no plane needs a total order over
-  // grants; three do, and each forces the serial fallback:
-  //  * schedule fuzz/record/replay: every choose() consumes a global
-  //    decision index, so the decision log IS a total order;
-  //  * message-level faults: loss/delay rolls hash the global message seq,
-  //    which concurrent senders would assign in host order;
-  //  * streaming metrics: rank 0 reads every rank's live counters, which
-  //    is only race-free while it alone holds the token.
+  // bit-identical to serial for every plane but schedule fuzz/record/
+  // replay: every choose() consumes a global decision index, so the
+  // decision log IS a total order over grants and forces the serial
+  // fallback.
   sim::CoordinatorSpec coord_spec = config.coordinator;
   std::string coord_fallback;
-  if (coord_spec.parallel()) {
-    if (config.schedule.mode != schedpt::Mode::kDefault)
-      coord_fallback = "schedule " + config.schedule.describe();
-    else if (config.faults.has(fault::FaultKind::kMsgLoss) ||
-             config.faults.has(fault::FaultKind::kMsgDelay))
-      coord_fallback = "message-level fault injection";
-    else if (config.stream.enabled())
-      coord_fallback = "streaming metrics";
-    if (!coord_fallback.empty())
-      coord_spec.mode = sim::CoordinatorMode::kSerial;
+  if (coord_spec.parallel() &&
+      config.schedule.mode != schedpt::Mode::kDefault) {
+    coord_fallback = "schedule " + config.schedule.describe();
+    coord_spec.mode = sim::CoordinatorMode::kSerial;
   }
 
   task::TaskGraph init_graph;
@@ -226,14 +216,11 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
   // into its rings.
   obs::DiagHub diag_hub(config.diag, config.nranks);
 
-  // Streaming metrics (rank 0 emits while holding the token, so the other
-  // ranks' counters are quiescent when read).
+  // Streaming metrics: every rank contributes its own counters at its own
+  // step end; the streamer writes a step's line once all ranks are in.
   std::optional<obs::MetricsStreamer> streamer;
   if (config.stream.enabled())
     streamer.emplace(config.stream, config.nranks, config.timesteps);
-  std::vector<const hw::PerfCounters*> rank_counters;
-  rank_counters.reserve(result.ranks.size());
-  for (const RankResult& r : result.ranks) rank_counters.push_back(&r.counters);
 
   // One worker pool serves every rank's cluster: only the token-holding
   // rank dispatches at any moment, so per-rank pools would mostly sleep
@@ -464,7 +451,6 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
             last_ckpt >= 0 && restarts_done < config.recovery.max_restarts) {
           ++restarts_done;
           out.counters.fault_restarts += 1;
-          if (config.collect_metrics) out.obs_metrics.count("fault.restarts");
           flight.record(obs::FlightKind::kRestart, coord.now(rank),
                         restarts_done, last_ckpt);
           // Fresh fault draws for the replay, or a step-pinned fault would
@@ -513,11 +499,10 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
       ++completed;
       flight.record(obs::FlightKind::kStepEnd, coord.now(rank), ctx.step);
       coord.heartbeat(rank);
-      if (rank == 0 && streamer &&
-          (completed % streamer->interval() == 0 ||
-           completed == config.timesteps))
-        streamer->emit(ctx.step, coord.now(rank), rank_counters,
-                       cpe_pool ? cpe_pool->queue_depth() : 0);
+      if (streamer && (completed % streamer->interval() == 0 ||
+                       completed == config.timesteps))
+        streamer->contribute(ctx.step, rank, coord.now(rank), out.counters,
+                             cpe_pool ? cpe_pool->queue_depth() : 0);
     }
 
     app.on_rank_complete(ctx, comm, part.patches_of(rank), out.metrics);
@@ -534,6 +519,20 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
                             static_cast<double>(c.msgs_rendezvous));
       out.obs_metrics.count("comm.mpi_posts",
                             static_cast<double>(c.mpi_posts));
+    }
+
+    // Fault counts come from the counters every fault site increments
+    // (scheduler, DMA, comm and restarts), so the registry agrees with the
+    // merged counters.
+    if (config.collect_metrics) {
+      const hw::PerfCounters& c = out.counters;
+      const std::pair<const char*, std::uint64_t> faults[] = {
+          {"fault.injected", c.fault_injected},
+          {"fault.retries", c.fault_retries},
+          {"fault.degraded", c.fault_degraded},
+          {"fault.restarts", c.fault_restarts}};
+      for (const auto& [name, n] : faults)
+        if (n != 0) out.obs_metrics.count(name, static_cast<double>(n));
     }
 
     // Every driven flush or retransmit happens inside a deadline service,

@@ -63,10 +63,10 @@ struct RunConfig {
   /// kParallel grants every rank inside the conservative lookahead window
   /// concurrently (see sim/coordinator.h). Both produce bit-identical
   /// stdout, metrics, archives and schedule files — parallel only buys
-  /// host wall-clock at high rank counts. Planes that need a total order
-  /// over grants (schedule fuzz/record/replay, message-level fault
-  /// injection, streaming metrics) automatically fall back to serial
-  /// granting; the effective mode is reported in RunResult.
+  /// host wall-clock at high rank counts. Message faults and metrics
+  /// streams run under either mode. Only schedule fuzz/record/replay,
+  /// whose decision log is a total order over grants, falls back to
+  /// serial granting; the effective mode is reported in RunResult.
   sim::CoordinatorSpec coordinator;
 
   /// Message aggregation/coalescing and the eager/rendezvous protocol
@@ -130,9 +130,10 @@ struct RunConfig {
   /// any run — flight events are observations, never decisions.
   obs::DiagConfig diag;
 
-  /// Streaming metrics (uswsim --metrics-stream=FILE[:interval]): rank 0
-  /// appends one JSONL snapshot of cross-rank counters every `interval`
-  /// completed timesteps. Disabled when `stream.file` is empty.
+  /// Streaming metrics (uswsim --metrics-stream=FILE[:interval]): one
+  /// JSONL line of counters summed over ranks every `interval` completed
+  /// timesteps, each rank contributing at its own step end. Disabled
+  /// when `stream.file` is empty.
   obs::StreamSpec stream;
 
   // ---- Output / checkpoint (functional storage only) ----
@@ -184,8 +185,8 @@ struct RunResult {
   /// Path the diagnostic dump was written to ("" if none was requested).
   std::string diag_dump_path;
   /// Coordinator mode the run actually used. Differs from the requested
-  /// RunConfig::coordinator only when an order-sensitive plane forced the
-  /// serial fallback; `coordinator_fallback` then names the plane ("").
+  /// RunConfig::coordinator only when a --schedule controller forced the
+  /// serial fallback; `coordinator_fallback` then names it ("").
   sim::CoordinatorSpec coordinator_used;
   std::string coordinator_fallback;
 

@@ -366,7 +366,6 @@ void Scheduler::offload_stencil(task::TaskContext& ctx, int dt_index, int group)
       // (hash of stable ids), so both backends wrap identically; the
       // rounding below is a deterministic double->int conversion.
       counters_.fault_injected += 1;
-      if (config_.metrics != nullptr) config_.metrics->count("fault.injected");
       trace_.record(comm_.now(), sim::EventKind::kFaultBegin,
                     "cpe_stall " + label, ids);
       trace_.record(comm_.now(), sim::EventKind::kFaultEnd,
@@ -458,7 +457,6 @@ bool Scheduler::offload_fault_check(int dt_index, int group) {
     return false;
   }
   counters_.fault_injected += 1;
-  if (config_.metrics != nullptr) config_.metrics->count("fault.injected");
   if (config_.flight != nullptr)
     config_.flight->record(obs::FlightKind::kOffloadFail, comm_.now(), dt_index,
                            group);
@@ -473,7 +471,6 @@ bool Scheduler::offload_fault_check(int dt_index, int group) {
       !group_degraded(group)) {
     degraded_[static_cast<std::size_t>(group)] = 1;
     counters_.fault_degraded += 1;
-    if (config_.metrics != nullptr) config_.metrics->count("fault.degraded");
     if (config_.flight != nullptr)
       config_.flight->record(obs::FlightKind::kGroupDegraded, comm_.now(),
                              group);
@@ -503,7 +500,6 @@ void Scheduler::recover_offload(task::TaskContext& ctx, int dt_index, int group)
       group_degraded(group) ? first_free_usable_group() : group;
   if (attempt < config_.recovery.max_offload_retries && retry_group >= 0) {
     counters_.fault_retries += 1;
-    if (config_.metrics != nullptr) config_.metrics->count("fault.retries");
     charge_retry_backoff(dt_index, attempt);
     // offload_stencil / run_stencil_on_mpe close the checker's task scope,
     // so a recovery pass must re-open it.
@@ -726,8 +722,6 @@ void Scheduler::run_loop_sync(task::TaskContext& ctx) {
             if (attempt < config_.recovery.max_offload_retries &&
                 retry_group >= 0) {
               counters_.fault_retries += 1;
-              if (config_.metrics != nullptr)
-                config_.metrics->count("fault.retries");
               charge_retry_backoff(t, attempt);
               if (config_.checker != nullptr) config_.checker->begin_task(t);
               g = retry_group;

@@ -428,8 +428,7 @@ void Coordinator::pick_next_locked() {
   // Hold everyone at the starting line until every rank thread has
   // registered; otherwise an early rank could race ahead of a rank that is
   // still at virtual time zero, breaking the min-clock invariant.
-  for (const RankSlot& slot : ranks_)
-    if (slot.state == State::kUnstarted) return;
+  if (started_ < size()) return;
   const MinScan scan = min_eligibility_locked();
   int best = scan.best;
   if (best < 0) {

@@ -102,12 +102,19 @@ TEST(FaultPlan, DecisionsAreDeterministicAndSeedSensitive) {
     }
   }
   EXPECT_GT(differs, 0) << "seed must matter";
+  // Seqs are per sender, so two senders with the same seq are distinct
+  // messages and must draw independently.
+  int sender_differs = 0;
   for (std::uint64_t seq = 0; seq < 32; ++seq) {
-    EXPECT_EQ(a.msg_lost(seq, 1), b.msg_lost(seq, 1));
-    const auto da = a.msg_delay_factor(seq, 1);
-    const auto db = b.msg_delay_factor(seq, 1);
+    EXPECT_EQ(a.msg_lost(0, seq, 1), b.msg_lost(0, seq, 1));
+    const auto da = a.msg_delay_factor(0, seq, 1);
+    const auto db = b.msg_delay_factor(0, seq, 1);
     ASSERT_EQ(da.has_value(), db.has_value());
+    if (a.msg_lost(0, seq, 1) != a.msg_lost(1, seq, 1)) ++sender_differs;
+    if (da.has_value() != a.msg_delay_factor(1, seq, 1).has_value())
+      ++sender_differs;
   }
+  EXPECT_GT(sender_differs, 0) << "the sender must be part of the draw";
 }
 
 TEST(FaultPlan, IncarnationGivesFreshDrawsButStepPinnedAlwaysFires) {
@@ -203,6 +210,30 @@ TEST(FaultRecovery, MessageLossAndDelayRetransmitBitEqual) {
   // Retransmits re-enter the wire as real traffic.
   EXPECT_GT(sum.messages_sent, clean.merged_counters().messages_sent);
   expect_same_numerics(clean, faulted);
+}
+
+TEST(FaultMetrics, RegistryMatchesMergedCountersUnderMessageFaults) {
+  // The fault.* registry counts are read from the same counters every
+  // fault site increments (comm, DMA, scheduler, restarts), so message
+  // and DMA faults reach the metrics registry too.
+  runtime::RunConfig config = base_config();
+  config.collect_metrics = true;
+  config.faults = fault::FaultPlan::parse(
+      "msg_loss:p=0.2,msg_delay:p=0.2:factor=10,dma_error:p=0.1", 13);
+  const runtime::RunResult r =
+      runtime::run_simulation(config, apps::heat::HeatApp());
+  const hw::PerfCounters sum = r.merged_counters();
+  ASSERT_GT(sum.fault_injected, 0u);
+  ASSERT_GT(sum.fault_retries, 0u);
+  std::map<std::string, double> reg;
+  for (const runtime::RankResult& rank : r.ranks)
+    for (const auto& [name, v] : rank.obs_metrics.counters())
+      if (name.rfind("fault.", 0) == 0) reg[name] += v;
+  EXPECT_EQ(reg["fault.injected"], static_cast<double>(sum.fault_injected));
+  EXPECT_EQ(reg["fault.retries"], static_cast<double>(sum.fault_retries));
+  // Zero counts emit no key.
+  EXPECT_EQ(reg.count("fault.degraded"), 0u);
+  EXPECT_EQ(reg.count("fault.restarts"), 0u);
 }
 
 TEST(FaultRecovery, DmaErrorsAreReissuedBitEqual) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -22,6 +23,8 @@
 #include "obs/stream.h"
 #include "runtime/controller.h"
 #include "apps/burgers/burgers_app.h"
+#include "comm/agg.h"
+#include "fault/fault.h"
 #include "schedpt/schedule.h"
 #include "support/build_info.h"
 #include "support/error.h"
@@ -315,6 +318,142 @@ TEST(Stream, EmitsHeaderAndPeriodicSnapshots) {
     EXPECT_NE(lines[i].find("\"step\""), std::string::npos);
     EXPECT_NE(lines[i].find("counted_flops"), std::string::npos);
   }
+  std::remove(c.stream.file.c_str());
+}
+
+// ------------------------------------------- coordinator equivalence ---
+//
+// Message seqs are per sender and stream lines are summed from per-rank
+// step-end snapshots, so message faults, flight rings and metrics streams
+// are identical under the serial and the parallel coordinator.
+
+/// Each rank's section of a clean-finish diagnostic dump (its flight ring
+/// with recorded/dropped counts), in rank order.
+std::vector<std::string> rank_rings(const std::string& dump_path) {
+  const std::string dump = slurp(dump_path);
+  const std::size_t end = dump.find("\"host_profile\":");
+  std::vector<std::string> out;
+  std::size_t at = dump.find("\"rank\":", dump.find("\"ranks\":"));
+  while (at < end) {
+    const std::size_t next = std::min(dump.find("\"rank\":", at + 1), end);
+    out.push_back(dump.substr(at, next - at));
+    at = next;
+  }
+  return out;
+}
+
+/// Runs `c` under both coordinators with a diagnostic dump each; expects
+/// the parallel run not to fall back and every rank's counters, step walls
+/// and flight ring to match the serial run.
+void expect_coordinators_equal(runtime::RunConfig c, const std::string& tag) {
+  apps::burgers::BurgersApp app;
+  c.diag.flight_capacity = 4096;  // keep every event of the run
+  c.diag.dump_path = temp_path("coord_eq_serial_" + tag + ".json");
+  const runtime::RunResult serial = runtime::run_simulation(c, app);
+  const std::string serial_dump = c.diag.dump_path;
+  c.coordinator = sim::CoordinatorSpec::parse("parallel");
+  c.diag.dump_path = temp_path("coord_eq_parallel_" + tag + ".json");
+  const runtime::RunResult parallel = runtime::run_simulation(c, app);
+  EXPECT_TRUE(parallel.coordinator_used.parallel()) << tag;
+  EXPECT_TRUE(parallel.coordinator_fallback.empty()) << tag;
+  ASSERT_EQ(serial.ranks.size(), parallel.ranks.size());
+  for (std::size_t r = 0; r < serial.ranks.size(); ++r) {
+    EXPECT_TRUE(serial.ranks[r].counters == parallel.ranks[r].counters)
+        << tag << " rank " << r << ": " << serial.ranks[r].counters.summary()
+        << " vs " << parallel.ranks[r].counters.summary();
+    EXPECT_EQ(serial.ranks[r].step_walls, parallel.ranks[r].step_walls)
+        << tag << " rank " << r;
+  }
+  const std::vector<std::string> a = rank_rings(serial_dump);
+  const std::vector<std::string> b = rank_rings(c.diag.dump_path);
+  ASSERT_EQ(a.size(), serial.ranks.size()) << tag;
+  ASSERT_EQ(b.size(), a.size()) << tag;
+  int differ = 0;
+  for (std::size_t r = 0; r < a.size(); ++r)
+    if (a[r] != b[r]) ++differ;
+  EXPECT_EQ(differ, 0) << tag << ": flight rings differ on " << differ << "/"
+                       << a.size() << " ranks";
+  std::remove(serial_dump.c_str());
+  std::remove(c.diag.dump_path.c_str());
+}
+
+TEST(CoordinatorEquivalence, MessageFaultsBitEqualWithFlightRings) {
+  runtime::RunConfig c = tiny_config();
+  c.problem = runtime::tiny_problem({4, 2, 2}, {8, 8, 8});
+  c.variant = runtime::variant_by_name("acc_simd.async");
+  c.nranks = 8;
+  c.faults =
+      fault::FaultPlan::parse("msg_loss:p=0.1,msg_delay:p=0.1:factor=8", 3);
+  for (const char* agg : {"off", "on"}) {
+    c.comm_agg = comm::AggSpec::parse(agg);
+    expect_coordinators_equal(c, std::string("msg_faults_agg_") + agg);
+  }
+}
+
+TEST(CoordinatorEquivalence, FaultFreeFlightRingsMatch) {
+  runtime::RunConfig c = tiny_config();
+  c.problem = runtime::tiny_problem({8, 8, 4}, {8, 8, 8});
+  c.variant = runtime::variant_by_name("acc_simd.async");
+  c.nranks = 64;
+  c.timesteps = 2;
+  expect_coordinators_equal(c, "fault_free_64");
+}
+
+/// A stream file's lines with the host-noisy fields cut out.
+std::vector<std::string> stream_lines(const std::string& path) {
+  std::ifstream is(path);
+  std::string line;
+  std::vector<std::string> lines;
+  while (std::getline(is, line)) {
+    for (const char* key : {"\"wall_ms\":", "\"pool_queue_depth\":"}) {
+      const std::size_t k = line.find(key);
+      if (k == std::string::npos) continue;
+      const std::size_t v_end = line.find_first_of(",}", k);
+      line.erase(k, v_end - k);
+    }
+    lines.push_back(line);
+  }
+  return lines;
+}
+
+/// Integer value of `"key":N` in a stream line.
+std::uint64_t field(const std::string& line, const std::string& key) {
+  const std::size_t k = line.find("\"" + key + "\":");
+  EXPECT_NE(k, std::string::npos) << key;
+  return std::stoull(line.substr(k + key.size() + 3));
+}
+
+TEST(Stream, LinesMatchAcrossCoordinatorsAndSumToCounters) {
+  apps::burgers::BurgersApp app;
+  runtime::RunConfig c = tiny_config();
+  c.problem = runtime::tiny_problem({4, 2, 2}, {8, 8, 8});
+  c.nranks = 8;
+  c.timesteps = 4;
+  c.faults = fault::FaultPlan::parse("msg_loss:p=0.1", 5);
+  c.stream.file = temp_path("stream_serial.jsonl");
+  const runtime::RunResult serial = runtime::run_simulation(c, app);
+  c.coordinator = sim::CoordinatorSpec::parse("parallel");
+  c.stream.file = temp_path("stream_parallel.jsonl");
+  const runtime::RunResult parallel = runtime::run_simulation(c, app);
+  EXPECT_TRUE(parallel.coordinator_used.parallel());
+
+  const std::vector<std::string> a = stream_lines(temp_path("stream_serial.jsonl"));
+  const std::vector<std::string> b = stream_lines(c.stream.file);
+  ASSERT_EQ(a.size(), 1u + c.timesteps);  // header + one line per step
+  EXPECT_EQ(a, b);
+  for (int s = 0; s < c.timesteps; ++s)
+    EXPECT_EQ(field(a[1 + s], "step"), static_cast<std::uint64_t>(s));
+  // Each rank contributes at its own final step end, after which a
+  // timing-only run changes no counter: the last line is the run total.
+  const hw::PerfCounters sum = serial.merged_counters();
+  const std::string& last = a.back();
+  EXPECT_EQ(field(last, "messages_sent"), sum.messages_sent);
+  EXPECT_EQ(field(last, "bytes_sent"), sum.bytes_sent);
+  EXPECT_EQ(field(last, "kernels_offloaded"), sum.kernels_offloaded);
+  EXPECT_EQ(field(last, "fault_injected"), sum.fault_injected);
+  EXPECT_GT(sum.fault_injected, 0u);
+  EXPECT_EQ(field(last, "wait_ps"), static_cast<std::uint64_t>(sum.wait_time));
+  std::remove(temp_path("stream_serial.jsonl").c_str());
   std::remove(c.stream.file.c_str());
 }
 

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "apps/burgers/burgers_app.h"
 #include "runtime/controller.h"
 
@@ -209,10 +211,11 @@ TEST(RunSimulation, ParallelCoordinatorBitIdentical) {
   }
 }
 
-TEST(RunSimulation, OrderSensitivePlanesForceSerialFallback) {
-  // Schedule exploration, message-level faults and streaming metrics all
-  // need a total grant order; a parallel request degrades to serial and
-  // the result names the plane that forced it.
+TEST(RunSimulation, OnlyScheduleForcesSerialFallback) {
+  // A --schedule controller's decision log is a total order over grants,
+  // so a parallel request degrades to serial and the result names it.
+  // Message faults and metrics streams have per-rank identities and run
+  // parallel.
   apps::burgers::BurgersApp app;
   RunConfig cfg;
   cfg.problem = tiny_problem({2, 2, 1}, {8, 8, 8});
@@ -231,10 +234,16 @@ TEST(RunSimulation, OrderSensitivePlanesForceSerialFallback) {
   RunConfig faults = cfg;
   faults.faults = fault::FaultPlan::parse("msg_delay:p=0.5", 1);
   const RunResult rm = run_simulation(faults, app);
-  EXPECT_FALSE(rm.coordinator_used.parallel());
-  EXPECT_NE(rm.coordinator_fallback.find("fault"), std::string::npos);
+  EXPECT_TRUE(rm.coordinator_used.parallel());
+  EXPECT_TRUE(rm.coordinator_fallback.empty());
 
-  // Rank-level faults do not need a total order: no fallback.
+  RunConfig stream = cfg;
+  stream.stream.file = ::testing::TempDir() + "/usw_fallback_stream.jsonl";
+  const RunResult rs = run_simulation(stream, app);
+  EXPECT_TRUE(rs.coordinator_used.parallel());
+  EXPECT_TRUE(rs.coordinator_fallback.empty());
+  std::remove(stream.stream.file.c_str());
+
   RunConfig cpe = cfg;
   cpe.faults = fault::FaultPlan::parse("cpe_stall:step=1:factor=2.0", 1);
   const RunResult rc = run_simulation(cpe, app);
