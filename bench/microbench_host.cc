@@ -116,7 +116,7 @@ void BM_LdmAllocReset(benchmark::State& state) {
 BENCHMARK(BM_LdmAllocReset);
 
 void BM_CoordinatorHandoff(benchmark::State& state) {
-  // Cost of token handoffs between two simulated ranks: the dominant
+  // Cost of grant handoffs between two simulated ranks: the dominant
   // host-side overhead of the discrete-event simulation. Each run_ranks
   // performs ~200 gates (plus thread setup/teardown).
   for (auto _ : state) {

@@ -1,9 +1,10 @@
-// Scale smoke: the conservative parallel coordinator against the serial
-// token at 128/512/1024 simulated CGs (one host thread per CG), with and
-// without message aggregation (--comm-agg). Extends the Fig 5 / Table 5
-// experiment grid an order of magnitude past the paper's 128-CG ceiling:
-// a 2048-patch heat-free Burgers problem, two patches per CG at the top
-// of the sweep so same-destination halo sends actually coalesce.
+// Scale smoke: the windowed coordinator at a cap of one grant per core
+// (parallel) against a cap of one (serial) at 128/512/1024 simulated CGs
+// (one host thread per CG), with and without message aggregation
+// (--comm-agg). Extends the Fig 5 / Table 5 experiment grid an order of
+// magnitude past the paper's 128-CG ceiling: a 2048-patch heat-free
+// Burgers problem, two patches per CG at the top of the sweep so
+// same-destination halo sends actually coalesce.
 //
 // The bench asserts the tentpole contracts on every case:
 //   - virtual step walls and counted flops are bit-identical between the

@@ -77,7 +77,8 @@ class Sweep {
   }
 
   /// Selects how simulated ranks are granted execution for subsequent
-  /// runs (serial token vs windowed parallel; see sim/coordinator.h).
+  /// runs (the concurrent-grant cap: serial = one, parallel = one per
+  /// core; see sim/coordinator.h).
   /// Virtual results are identical either way; only host_ms changes.
   void set_coordinator(const sim::CoordinatorSpec& spec) {
     coordinator_ = spec;

@@ -70,15 +70,15 @@ void print_help() {
       "                                (default: one per host core, capped)\n"
       "  --coordinator=serial|parallel[:threads=N]\n"
       "                                how simulated ranks are granted\n"
-      "                                execution: serial = one min-virtual-\n"
-      "                                time rank at a time; parallel = every\n"
-      "                                rank inside the conservative lookahead\n"
-      "                                window (min message latency) runs\n"
-      "                                concurrently, capped at N host threads\n"
-      "                                (default: one per core). Bit-identical\n"
-      "                                output either way; --schedule needs\n"
-      "                                a total grant order and falls back\n"
-      "                                to serial automatically\n"
+      "                                execution: every rank inside the\n"
+      "                                conservative lookahead window (min\n"
+      "                                message latency) is granted; serial\n"
+      "                                runs the grants one at a time,\n"
+      "                                parallel concurrently, capped at N\n"
+      "                                host threads (default: one per core).\n"
+      "                                Bit-identical output either way;\n"
+      "                                --schedule needs a total grant order\n"
+      "                                and runs one rank at a time (serial)\n"
       "  --comm-agg=off|on|size=B,count=N[,rdv=BYTES]\n"
       "                                message aggregation: coalesce same-\n"
       "                                destination small sends into one\n"

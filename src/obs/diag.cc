@@ -149,8 +149,9 @@ void DiagHub::write_dump_locked(std::ostream& os, const char* what,
     }
     w.end_array();
   }
-  // The coordinator ring holds the last token grants — "the last N schedule
-  // points" a post-mortem wants first.
+  // The coordinator ring holds the last grants, every grant of each window
+  // in grant order — "the last N schedule points" a post-mortem wants
+  // first.
   w.key("schedule_points").begin_object();
   write_ring(w, coord_ring_);
   w.end_object();

@@ -13,8 +13,8 @@
 //  - Cheap writes: a record() is two atomic stores and a struct copy.
 //
 // Concurrency contract: each ring has a SINGLE logical writer — the rank
-// thread that owns it (which only records while holding the coordinator
-// token) or, for the coordinator ring, whichever thread currently holds the
+// thread that owns it (which only records while it holds a coordinator
+// grant) or, for the coordinator ring, whichever thread currently holds the
 // coordinator lock. snapshot() is only called from crash/final dump paths,
 // where every writer is either parked on the coordinator (the dump runs
 // before cancellation wakes them, with the coordinator lock providing the
@@ -33,7 +33,7 @@ namespace usw::obs {
 
 /// What happened. Operands a/b/c are kind-specific (documented per kind).
 enum class FlightKind : std::uint8_t {
-  kRankPick,       // coordinator granted the token: a=rank, b=candidate count
+  kRankPick,       // coordinator granted a rank: a=rank, b=candidate count
   kStepBegin,      // rank began a timestep: a=step
   kStepEnd,        // rank completed a timestep: a=step
   kMsgSend,        // posted a send: a=dst, b=msg seq, c=bytes

@@ -145,8 +145,9 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
 
   // Schedule-space exploration: one controller serves the whole run so
   // every decision site shares a single, totally ordered decision log
-  // (every choose() happens on the token-holding rank thread or inside the
-  // coordinator's pick, so the order is backend-independent). The rank-
+  // (the coordinator grants one rank at a time under a controller, so every
+  // choose() happens on the granted rank thread or inside the coordinator's
+  // window open, and the order is backend-independent). The rank-
   // pick lookahead is the minimum message latency: any rank strictly
   // inside the window cannot observe a message an unrun rank would send.
   const std::unique_ptr<schedpt::ScheduleController> schedule =
@@ -155,11 +156,11 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
   const TimePs lookahead =
       config.machine.net_latency + config.machine.mpi_sw_latency;
 
-  // Effective coordinator mode. The parallel (windowed) coordinator is
-  // bit-identical to serial for every plane but schedule fuzz/record/
-  // replay: every choose() consumes a global decision index, so the
-  // decision log IS a total order over grants and forces the serial
-  // fallback.
+  // Effective coordinator mode. Every grant cap is bit-identical for every
+  // plane, but schedule fuzz/record/replay runs one grant at a time: every
+  // choose() consumes a global decision index, so the decision log IS a
+  // total order over grants. Report a parallel request as the serial
+  // fallback it is.
   sim::CoordinatorSpec coord_spec = config.coordinator;
   std::string coord_fallback;
   if (coord_spec.parallel() &&
@@ -222,9 +223,9 @@ RunResult run_simulation(const RunConfig& config, const Application& app) {
   if (config.stream.enabled())
     streamer.emplace(config.stream, config.nranks, config.timesteps);
 
-  // One worker pool serves every rank's cluster: only the token-holding
-  // rank dispatches at any moment, so per-rank pools would mostly sleep
-  // while multiplying thread counts by nranks. Declared before run_ranks
+  // One worker pool serves every rank's cluster: only granted ranks
+  // dispatch, at most the grant cap at any moment, so per-rank pools would
+  // mostly sleep while multiplying thread counts by nranks. Declared before run_ranks
   // so it outlives every cluster that dispatches onto it.
   std::unique_ptr<athread::WorkerPool> cpe_pool;
   if (config.backend == athread::Backend::kThreads) {

@@ -59,14 +59,15 @@ struct RunConfig {
   int backend_threads = 0;
 
   /// How simulated ranks are granted execution (uswsim --coordinator).
-  /// kSerial hands a single token to the minimum-virtual-time rank;
-  /// kParallel grants every rank inside the conservative lookahead window
-  /// concurrently (see sim/coordinator.h). Both produce bit-identical
+  /// Both modes grant every rank inside the conservative lookahead window
+  /// (see sim/coordinator.h); kSerial runs one grant at a time, kParallel
+  /// up to one per host core concurrently. Both produce bit-identical
   /// stdout, metrics, archives and schedule files — parallel only buys
   /// host wall-clock at high rank counts. Message faults and metrics
   /// streams run under either mode. Only schedule fuzz/record/replay,
-  /// whose decision log is a total order over grants, falls back to
-  /// serial granting; the effective mode is reported in RunResult.
+  /// whose decision log is a total order over grants, runs one grant at a
+  /// time; a parallel request then reports the serial fallback in
+  /// RunResult.
   sim::CoordinatorSpec coordinator;
 
   /// Message aggregation/coalescing and the eager/rendezvous protocol

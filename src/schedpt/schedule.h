@@ -11,8 +11,8 @@
 // instrumented as a named *schedule point*, and a pluggable controller
 // decides it.
 //
-//   kRankPick     which rank the coordinator grants the token next, among
-//                 the ranks inside the causal lookahead window (sim);
+//   kRankPick     which rank the coordinator grants next, among the ranks
+//                 inside the causal lookahead window (sim);
 //   kMsgMatch     which (src, tag) class of visible messages a rank's
 //                 MPI_Test delivers first (comm);
 //   kOffloadPoll  which in-flight CPE group's completion flag the async
@@ -36,11 +36,12 @@
 //             (kind, rank, candidate count) disagrees with the recording
 //             raises StateError naming it, instead of silently diverging.
 //
-// Thread-safety / determinism: every choose() call happens either on the
-// rank thread currently holding the Coordinator token or inside the
-// coordinator's pick (between token holds), so the global decision
-// sequence is totally ordered and identical across backends; the internal
-// mutex only makes that ordering visible to the memory model.
+// Thread-safety / determinism: a controller makes the Coordinator grant one
+// rank at a time (a zero window, a cap of one), so every choose() call
+// happens either on the one granted rank thread or inside the
+// coordinator's window open (between grants). The global decision
+// sequence is therefore totally ordered and identical across backends;
+// the internal mutex only makes that ordering visible to the memory model.
 
 #include <cstdint>
 #include <memory>

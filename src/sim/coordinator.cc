@@ -11,8 +11,8 @@ namespace usw::sim {
 
 namespace {
 
-/// Serial grant order: nondecreasing (eligibility, rank id) — the token
-/// always goes to the minimum clock/wake, ties to the lowest rank.
+/// Grant order: nondecreasing (eligibility, rank id) — the minimum
+/// clock/wake runs first, ties to the lowest rank.
 bool grant_order_less(TimePs ta, int ra, TimePs tb, int rb) {
   return ta != tb ? ta < tb : ra < rb;
 }
@@ -74,12 +74,12 @@ Coordinator::Coordinator(int nranks, const CoordinatorSpec& spec, TimePs window)
     : ranks_(static_cast<std::size_t>(nranks)) {
   USW_ASSERT_MSG(nranks > 0, "coordinator needs at least one rank");
   USW_ASSERT_MSG(window >= 0, "negative coordinator window");
-  // A zero window would grant only the minimum rank anyway; take the
-  // cheaper serial path outright. Single-rank runs have nothing to overlap.
-  par_ = spec.parallel() && window > 0 && nranks > 1;
   window_ = window;
-  max_concurrent_ = spec.max_concurrent > 0 ? spec.max_concurrent
-                                            : default_grant_cap();
+  if (!spec.parallel())
+    max_concurrent_ = 1;
+  else
+    max_concurrent_ = spec.max_concurrent > 0 ? spec.max_concurrent
+                                              : default_grant_cap();
 }
 
 void Coordinator::start(int rank) {
@@ -88,14 +88,9 @@ void Coordinator::start(int rank) {
   USW_ASSERT_MSG(slot.state == State::kUnstarted, "rank started twice");
   slot.state = State::kReady;
   slot.clock.store(0, std::memory_order_relaxed);
-  ++started_;
-  if (par_) {
-    // Hold everyone at the starting line until every rank thread has
-    // registered, then open the first window.
-    if (started_ == size()) open_window_locked();
-  } else {
-    if (running_ < 0) pick_next_locked();
-  }
+  // Hold everyone at the starting line until every rank thread has
+  // registered, then open the first window.
+  if (++started_ == size()) open_window_locked();
   block_until_running_locked(lk, rank);
 }
 
@@ -107,15 +102,8 @@ void Coordinator::finish(int rank) {
                  "finish requires the grant");
   const bool was_running = slot.state == State::kRunning;
   slot.state = State::kFinished;
-  if (par_) {
-    if (was_running && !cancelled_.load(std::memory_order_relaxed))
-      release_locked();
-  } else {
-    if (running_ == rank) {
-      running_ = -1;
-      pick_next_locked();
-    }
-  }
+  if (was_running && !cancelled_.load(std::memory_order_relaxed))
+    release_locked();
 }
 
 TimePs Coordinator::now(int rank) const {
@@ -128,44 +116,30 @@ TimePs Coordinator::now(int rank) const {
 void Coordinator::advance(int rank, TimePs dt) {
   USW_ASSERT_MSG(dt >= 0, "cannot advance virtual time backwards");
   RankSlot& slot = ranks_.at(static_cast<std::size_t>(rank));
-  if (par_) {
-    // Lock-free: only the owning (granted) rank thread mutates its clock.
-    slot.clock.fetch_add(dt, std::memory_order_relaxed);
-    return;
-  }
-  std::lock_guard<std::mutex> lk(lock_);
+  // Lock-free: only the owning (granted) rank thread mutates its clock.
+  // The state read is race-free too: only a window barrier writes a
+  // rank's state, and only while that rank is parked.
   USW_ASSERT_MSG(slot.state == State::kRunning, "advance requires the grant");
-  slot.clock.store(slot.clock.load(std::memory_order_relaxed) + dt,
-                   std::memory_order_relaxed);
+  slot.clock.fetch_add(dt, std::memory_order_relaxed);
 }
 
 void Coordinator::gate(int rank) {
-  if (par_) {
-    RankSlot& slot = ranks_.at(static_cast<std::size_t>(rank));
-    if (!cancelled_.load(std::memory_order_relaxed)) {
-      const TimePs t = slot.clock.load(std::memory_order_relaxed);
-      // Still strictly inside the window: every message that could be
-      // matchable at t was already enqueued when the window opened (sends
-      // from concurrently-running ranks arrive at or after the window
-      // end), so observing shared state now is exactly as safe as holding
-      // the serial token. Serial would park kReady here and be re-granted
-      // at the same clock — a segment boundary, nothing more.
-      if (t < window_end_.load(std::memory_order_relaxed) && !would_stall(t)) {
-        slot.seg_start = t;
-        return;
-      }
-    }
-    park_and_block(rank, State::kReady, kNever);
-    return;
-  }
-  std::unique_lock<std::mutex> lk(lock_);
-  if (cancelled_.load(std::memory_order_relaxed)) throw Cancelled(cancel_reason_);
   RankSlot& slot = ranks_.at(static_cast<std::size_t>(rank));
-  USW_ASSERT_MSG(slot.state == State::kRunning, "gate requires the grant");
-  slot.state = State::kReady;
-  running_ = -1;
-  pick_next_locked();
-  block_until_running_locked(lk, rank);
+  if (!cancelled_.load(std::memory_order_relaxed)) {
+    USW_ASSERT_MSG(slot.state == State::kRunning, "gate requires the grant");
+    const TimePs t = slot.clock.load(std::memory_order_relaxed);
+    // Still strictly inside the window: every message that could be
+    // matchable at t was already enqueued when the window opened (sends
+    // from concurrently-running ranks arrive at or after the window end),
+    // so observing shared state now is exactly as safe as a fresh grant.
+    // A one-rank-at-a-time order would park kReady here and re-grant at
+    // the same clock — a segment boundary, nothing more.
+    if (t < window_end_.load(std::memory_order_relaxed) && !would_stall(t)) {
+      slot.seg_start = t;
+      return;
+    }
+  }
+  park_and_block(rank, State::kReady, kNever);
 }
 
 void Coordinator::wait_until(int rank, TimePs wake) {
@@ -179,74 +153,52 @@ void Coordinator::wait_until(int rank, TimePs wake,
 
 void Coordinator::wait_until_impl(int rank, TimePs wake,
                                   const std::function<TimePs()>* refresh) {
-  if (par_) {
-    RankSlot& slot = ranks_.at(static_cast<std::size_t>(rank));
-    if (!cancelled_.load(std::memory_order_relaxed)) {
-      const TimePs t = slot.clock.load(std::memory_order_relaxed);
-      if (wake != kNever && wake <= t) return;  // already past the event:
-                                                // serial never parks, so no
-                                                // segment boundary either
-      // Serial would park kWaiting here; pending notify records may lower
-      // the wake (never below the clock). Resolve them first.
-      const TimePs w = resolve_notifies(rank, slot, t, wake, true);
-      if (w <= t) {
-        // A recorded arrival (from a sender granted after this rank's
-        // segment) fires the wait at the current clock, exactly as the
-        // serial wake-up at max(stamp, clock) would.
-        slot.seg_start = t;
-        return;
-      }
-      // An effective wake strictly inside the window cannot be preempted
-      // by any further notify: in-window sends arrive at or after the
-      // window end, and every earlier record was resolved above. Jump.
-      if (w != kNever && w < window_end_.load(std::memory_order_relaxed) &&
-          !would_stall(w)) {
-        slot.clock.store(w, std::memory_order_relaxed);
-        slot.seg_start = w;
-        return;
-      }
-      park_and_block(rank, State::kWaiting, w, refresh);
-      return;
-    }
-    park_and_block(rank, State::kWaiting, wake);
+  RankSlot& slot = ranks_.at(static_cast<std::size_t>(rank));
+  if (cancelled_.load(std::memory_order_relaxed)) {
+    park_and_block(rank, State::kWaiting, wake);  // throws Cancelled
     return;
   }
-  std::unique_lock<std::mutex> lk(lock_);
-  if (cancelled_.load(std::memory_order_relaxed)) throw Cancelled(cancel_reason_);
-  RankSlot& slot = ranks_.at(static_cast<std::size_t>(rank));
   USW_ASSERT_MSG(slot.state == State::kRunning, "wait_until requires the grant");
-  if (wake != kNever && wake <= slot.clock.load(std::memory_order_relaxed))
-    return;  // already past the event
-  slot.state = State::kWaiting;
-  slot.wake = wake;
-  running_ = -1;
-  pick_next_locked();
-  block_until_running_locked(lk, rank);
+  const TimePs t = slot.clock.load(std::memory_order_relaxed);
+  // Already past the event: a one-rank-at-a-time order never parks here,
+  // so there is no segment boundary either.
+  if (wake != kNever && wake <= t) return;
+  // The rank parks kWaiting here unless a pending notify record lowers the
+  // wake (never below the clock). Resolve them first.
+  const TimePs w = resolve_notifies(rank, slot, t, wake, true);
+  if (w <= t) {
+    // A recorded arrival (from a sender granted after this rank's segment)
+    // fires the wait at the current clock, exactly as a wake-up at
+    // max(stamp, clock) would.
+    slot.seg_start = t;
+    return;
+  }
+  // An effective wake strictly inside the window cannot be preempted by
+  // any further notify: in-window sends arrive at or after the window end,
+  // and every earlier record was resolved above. Jump.
+  if (w != kNever && w < window_end_.load(std::memory_order_relaxed) &&
+      !would_stall(w)) {
+    slot.clock.store(w, std::memory_order_relaxed);
+    slot.seg_start = w;
+    return;
+  }
+  park_and_block(rank, State::kWaiting, w, refresh);
 }
 
 void Coordinator::notify(int rank, TimePs stamp, int src) {
   RankSlot& slot = ranks_.at(static_cast<std::size_t>(rank));
-  if (par_) {
-    // Recorded, not applied: whether serial would deliver or drop this
-    // notification depends on where the send sits in the serial grant
-    // order — its position is (sender's segment start, sender id). The
-    // target resolves the record itself (resolve_notifies) at its next
-    // wait or at the window barrier, whichever the serial rule demands.
-    USW_ASSERT_MSG(src >= 0 && src < size(),
-                   "parallel notify requires the posting rank");
-    const TimePs seg = ranks_.at(static_cast<std::size_t>(src)).seg_start;
-    {
-      std::lock_guard<std::mutex> lk(slot.notify_mu);
-      slot.pending.push_back(NotifyRec{seg, src, stamp});
-    }
-    slot.has_notify.store(true, std::memory_order_release);
-    return;
+  // Recorded, not applied: whether the notification lowers the target's
+  // wake or is dropped depends on where the send sits in the grant order —
+  // its position is (sender's segment start, sender id). The target
+  // resolves the record (resolve_notifies) at its next wait or at the
+  // window barrier, whichever the rule demands.
+  USW_ASSERT_MSG(src >= 0 && src < size(), "notify requires the posting rank");
+  const TimePs seg = ranks_.at(static_cast<std::size_t>(src)).seg_start;
+  {
+    std::lock_guard<std::mutex> lk(slot.notify_mu);
+    slot.pending.push_back(NotifyRec{seg, src, stamp});
   }
-  std::lock_guard<std::mutex> lk(lock_);
-  if (slot.state != State::kWaiting) return;  // will observe it when it polls
-  const TimePs effective =
-      std::max(stamp, slot.clock.load(std::memory_order_relaxed));
-  slot.wake = std::min(slot.wake, effective);
+  slot.has_notify.store(true, std::memory_order_release);
 }
 
 TimePs Coordinator::resolve_notifies(int rank, RankSlot& slot, TimePs park_clock,
@@ -259,12 +211,27 @@ TimePs Coordinator::resolve_notifies(int rank, RankSlot& slot, TimePs park_clock
     slot.has_notify.store(false, std::memory_order_relaxed);
   }
   if (slot.retained.empty()) return wake;
+  if (window_ == 0) {
+    // One grant per window, so host order is grant order: every record
+    // was posted while this rank sat in the state it is parked in now,
+    // and nothing is retained. A waiting target has its wake lowered to
+    // the arrival (never below the parked clock); anything else — a ready
+    // or finished target, or a rank's own records, which it posted while
+    // running — is dropped. At the owner's own wait_until only its own
+    // records can be pending, so they are dropped too.
+    TimePs w = wake;
+    if (waiting)
+      for (const NotifyRec& rec : slot.retained)
+        if (rec.src != rank) w = std::min(w, std::max(rec.stamp, park_clock));
+    slot.retained.clear();
+    return w;
+  }
   std::sort(slot.retained.begin(), slot.retained.end(),
             [](const NotifyRec& a, const NotifyRec& b) {
               return grant_order_less(a.seg, a.src, b.seg, b.src);
             });
   // For a wait park, records from before this rank's current segment fell
-  // in an earlier interval: either serial already dropped them (the rank
+  // in an earlier interval: either they were dropped (the rank
   // was running or gate-parked) or they were applied/no-ops at an earlier
   // wait — see the header comment. For a gate park the re-grant happens at
   // park_clock, so everything up to that position is dropped too.
@@ -274,11 +241,11 @@ TimePs Coordinator::resolve_notifies(int rank, RankSlot& slot, TimePs park_clock
   for (const NotifyRec& rec : slot.retained) {
     if (grant_order_less(rec.seg, rec.src, drop_bound, rank)) continue;
     if (waiting && grant_order_less(rec.seg, rec.src, w, rank)) {
-      // Serial: the target is kWaiting when this send posts; the wake is
+      // The target is kWaiting when this send posts; the wake is
       // lowered to the arrival, but never below the parked clock.
       w = std::min(w, std::max(rec.stamp, park_clock));
     } else {
-      keep.push_back(rec);  // serial posts this after the wake-up: it
+      keep.push_back(rec);  // posted after the wake-up: it
                             // belongs to a later wait of this rank
     }
   }
@@ -303,18 +270,13 @@ std::string Coordinator::cancel_reason() const {
 void Coordinator::set_diag(DiagSink* diag, TimePs stall_threshold) {
   USW_ASSERT_MSG(stall_threshold >= 0, "negative stall threshold");
   std::lock_guard<std::mutex> lk(lock_);
-  USW_ASSERT_MSG(started_ == 0 && running_ < 0, "set_diag after ranks started");
+  USW_ASSERT_MSG(started_ == 0, "set_diag after ranks started");
   diag_ = diag;
   stall_threshold_ = stall_threshold;
 }
 
 void Coordinator::heartbeat(int rank) {
-  RankSlot& slot = ranks_.at(static_cast<std::size_t>(rank));
-  if (par_) {
-    atomic_max(progress_mark_, slot.clock.load(std::memory_order_relaxed));
-    return;
-  }
-  std::lock_guard<std::mutex> lk(lock_);
+  const RankSlot& slot = ranks_.at(static_cast<std::size_t>(rank));
   USW_ASSERT_MSG(slot.state == State::kRunning ||
                      cancelled_.load(std::memory_order_relaxed),
                  "heartbeat requires the grant");
@@ -325,7 +287,6 @@ void Coordinator::crash_locked(const std::string& why) {
   if (cancelled_.load(std::memory_order_relaxed)) return;
   cancel_reason_ = why;
   cancelled_.store(true, std::memory_order_release);
-  running_ = -1;
   // Snapshot + dump BEFORE waking anyone: parked ranks cannot unwind (and
   // destroy the state diagnostic providers point at) until the cv fires.
   if (diag_ != nullptr) {
@@ -353,13 +314,15 @@ void Coordinator::set_schedule(schedpt::ScheduleController* schedule,
                                TimePs lookahead) {
   USW_ASSERT_MSG(lookahead >= 0, "negative lookahead");
   std::lock_guard<std::mutex> lk(lock_);
-  USW_ASSERT_MSG(started_ == 0 && running_ < 0,
-                 "set_schedule after ranks started");
+  USW_ASSERT_MSG(started_ == 0, "set_schedule after ranks started");
   schedule_ = schedule;
   lookahead_ = lookahead;
   // Fuzz/record/replay decisions form one globally ordered log; only a
-  // total order over grants reproduces it. Degenerate to serial granting.
-  if (schedule != nullptr) par_ = false;
+  // total order over grants reproduces it: one grant per window.
+  if (schedule != nullptr) {
+    window_ = 0;
+    max_concurrent_ = 1;
+  }
 }
 
 Coordinator::MinScan Coordinator::min_eligibility_locked() const {
@@ -422,67 +385,13 @@ bool Coordinator::watchdog_trips_locked(int best, TimePs best_time) {
   return false;
 }
 
-void Coordinator::pick_next_locked() {
-  USW_ASSERT(running_ < 0);
-  if (cancelled_.load(std::memory_order_relaxed)) return;
-  // Hold everyone at the starting line until every rank thread has
-  // registered; otherwise an early rank could race ahead of a rank that is
-  // still at virtual time zero, breaking the min-clock invariant.
-  if (started_ < size()) return;
-  const MinScan scan = min_eligibility_locked();
-  int best = scan.best;
-  if (best < 0) {
-    if (!scan.any_unfinished) return;  // everyone done
-    crash_locked(deadlock_message_locked());
-    return;
-  }
-  if (watchdog_trips_locked(best, scan.best_time)) return;
-  int n_candidates = 1;
-  if (schedule_ != nullptr) {
-    // Schedule point: any rank whose effective time is STRICTLY inside
-    // [best_time, best_time + lookahead_) may legally run next (see
-    // set_schedule for the causality argument). Candidate 0 is the
-    // canonical min-clock/min-rank choice so default == index 0.
-    std::vector<int> candidates;
-    candidates.push_back(best);
-    for (int r = 0; r < size(); ++r) {
-      if (r == best) continue;
-      const RankSlot& slot = ranks_[static_cast<std::size_t>(r)];
-      TimePs eff = kNever;
-      if (slot.state == State::kReady)
-        eff = slot.clock.load(std::memory_order_relaxed);
-      else if (slot.state == State::kWaiting && slot.wake != kNever)
-        eff = slot.wake;
-      if (eff != kNever && eff - scan.best_time < lookahead_)
-        candidates.push_back(r);
-    }
-    n_candidates = static_cast<int>(candidates.size());
-    const int pick =
-        schedule_->choose(schedpt::PointKind::kRankPick, best, n_candidates);
-    best = candidates[static_cast<std::size_t>(pick)];
-  }
-  RankSlot& chosen = ranks_[static_cast<std::size_t>(best)];
-  if (chosen.state == State::kWaiting) {
-    chosen.clock.store(
-        std::max(chosen.clock.load(std::memory_order_relaxed), chosen.wake),
-        std::memory_order_relaxed);
-    chosen.wake = kNever;
-  }
-  chosen.state = State::kRunning;
-  running_ = best;
-  if (diag_ != nullptr)
-    diag_->on_rank_pick(best, n_candidates,
-                        chosen.clock.load(std::memory_order_relaxed));
-  chosen.cv.notify_all();
-}
-
 void Coordinator::open_window_locked() {
   USW_ASSERT(active_ == 0);
   if (cancelled_.load(std::memory_order_relaxed)) return;
   grant_queue_.clear();
   grant_next_ = 0;
   // Resolve the notify records posted since the last barrier. Every rank
-  // is parked, so the serial grant-order rule (resolve_notifies) can be
+  // is parked, so the grant-order rule (resolve_notifies) can be
   // applied authoritatively: waiters may have their wake lowered, gate
   // parks drop everything up to their re-grant, and records positioned
   // after a rank's wake stay retained for its next wait.
@@ -494,10 +403,10 @@ void Coordinator::open_window_locked() {
         slot.wake = resolve_notifies(r, slot, clock, slot.wake, true);
         // Scan-derived wakes are recomputed here, where every push of the
         // closed window is mutex-ordered before us: an in-window scan can
-        // race a concurrent sender whose serial position precedes it, and
+        // race a concurrent sender whose grant position precedes it, and
         // the notify fold above intentionally drops that class of record
-        // (see the 3-arg wait_until). Clamped to the park clock — serial
-        // would spin at the clock, never park below it.
+        // (see the 3-arg wait_until). Clamped to the park clock — the
+        // min-clock order would spin at the clock, never park below it.
         if (slot.wake_fn != nullptr)
           slot.wake =
               std::min(slot.wake, std::max((*slot.wake_fn)(), clock));
@@ -509,7 +418,7 @@ void Coordinator::open_window_locked() {
                          false);
         break;
       case State::kFinished:
-        // Serial drops notifies to finished ranks.
+        // Notifies to finished ranks are dropped.
         if (slot.has_notify.load(std::memory_order_acquire)) {
           std::lock_guard<std::mutex> nlk(slot.notify_mu);
           slot.pending.clear();
@@ -540,6 +449,10 @@ void Coordinator::open_window_locked() {
     TimePs time;
     int rank;
   };
+  // Ranks strictly inside the window; under a schedule controller (window
+  // 0) the kRankPick candidates strictly inside the lookahead instead (see
+  // set_schedule for the causality argument).
+  const TimePs horizon = schedule_ != nullptr ? lookahead_ : window_;
   std::vector<Grant> grants;
   for (int r = 0; r < size(); ++r) {
     const RankSlot& slot = ranks_[static_cast<std::size_t>(r)];
@@ -548,21 +461,36 @@ void Coordinator::open_window_locked() {
       eff = slot.clock.load(std::memory_order_relaxed);
     else if (slot.state == State::kWaiting && slot.wake != kNever)
       eff = slot.wake;
-    if (eff != kNever && (r == scan.best || eff - scan.best_time < window_))
+    if (eff != kNever && (r == scan.best || eff - scan.best_time < horizon))
       grants.push_back(Grant{eff, r});
   }
-  // Grant in serial order (time, then rank id) so the diagnostic pick ring
-  // and the capped rollout follow the same sequence the token would.
+  int candidates = 1;
+  if (schedule_ != nullptr) {
+    // Schedule point: candidate 0 is the canonical min-clock/min-rank
+    // choice so default == index 0; the rest follow in rank order. The
+    // window holds just the chosen rank.
+    const auto best = std::find_if(grants.begin(), grants.end(), [&](const Grant& g) {
+      return g.rank == scan.best;
+    });
+    std::rotate(grants.begin(), best, best + 1);
+    candidates = static_cast<int>(grants.size());
+    const int pick =
+        schedule_->choose(schedpt::PointKind::kRankPick, scan.best, candidates);
+    const Grant chosen = grants[static_cast<std::size_t>(pick)];
+    grants.assign(1, chosen);
+  }
+  // Grant in (time, rank id) order so the diagnostic pick ring and the
+  // capped rollout follow the minimum-clock sequence.
   std::sort(grants.begin(), grants.end(), [](const Grant& a, const Grant& b) {
     return a.time != b.time ? a.time < b.time : a.rank < b.rank;
   });
   grant_queue_.reserve(grants.size());
   for (const Grant& g : grants) grant_queue_.push_back(g.rank);
   while (grant_next_ < grant_queue_.size() && active_ < max_concurrent_)
-    grant_locked(grant_queue_[grant_next_++]);
+    grant_locked(grant_queue_[grant_next_++], candidates);
 }
 
-void Coordinator::grant_locked(int rank) {
+void Coordinator::grant_locked(int rank, int candidates) {
   RankSlot& slot = ranks_[static_cast<std::size_t>(rank)];
   USW_ASSERT_MSG(slot.state == State::kReady || slot.state == State::kWaiting,
                  "granting a rank that is not parked");
@@ -572,13 +500,14 @@ void Coordinator::grant_locked(int rank) {
         std::memory_order_relaxed);
     slot.wake = kNever;
   }
-  // The grant starts a new serial segment at the rank's (possibly raised)
-  // clock — the eligibility the serial token would have granted at.
+  // The grant starts a new segment at the rank's (possibly raised) clock —
+  // the eligibility a one-rank-at-a-time order would have granted at.
   slot.seg_start = slot.clock.load(std::memory_order_relaxed);
   slot.state = State::kRunning;
   ++active_;
   if (diag_ != nullptr)
-    diag_->on_rank_pick(rank, 1, slot.clock.load(std::memory_order_relaxed));
+    diag_->on_rank_pick(rank, candidates,
+                        slot.clock.load(std::memory_order_relaxed));
   slot.cv.notify_all();
 }
 
@@ -586,7 +515,7 @@ void Coordinator::release_locked() {
   USW_ASSERT(active_ > 0);
   --active_;
   if (grant_next_ < grant_queue_.size()) {
-    grant_locked(grant_queue_[grant_next_++]);
+    grant_locked(grant_queue_[grant_next_++], 1);
   } else if (active_ == 0) {
     open_window_locked();
   }

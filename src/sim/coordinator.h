@@ -12,40 +12,38 @@
 // time that rank runs at T. Simulated timings are therefore exactly
 // reproducible regardless of host scheduling.
 //
-// Two execution modes (CoordinatorSpec):
+// One grant engine: conservative windowed PDES. Let T be the minimum
+// eligibility over all runnable ranks and L the window width (the
+// network's minimum end-to-end message latency, net_latency +
+// mpi_sw_latency — the same causal window the kRankPick schedule point
+// uses). Every rank whose eligibility lies strictly inside [T, T + L) is
+// granted, in (eligibility, rank id) order; each runs until its clock
+// reaches the window end, then parks; when all grants have parked the next
+// window opens. Causality: a message sent inside the window at time S >= T
+// arrives at S + L >= T + L, i.e. at or after the window end, so no
+// in-window rank can observe another in-window rank's sends. All
+// cross-rank observation happens at times < window end, against mailbox
+// state that was complete when the window opened.
 //
-//   kSerial   - the classic token model: at most one rank runs at a time,
-//               always the one with the minimum virtual time (ties broken
-//               by lowest rank id).
+// The cap (CoordinatorSpec) bounds how many grants run at once; the rest
+// of the window's grants drain one by one as running ranks park. It is a
+// host-side throttle only: kSerial is a cap of one, kParallel a cap of
+// one per host core (or `threads=N`). Virtual times, matching order,
+// numerics, archives and metrics are therefore BIT-IDENTICAL for every
+// cap — and equal to the classic min-clock order in which one rank runs at
+// a time, always the one with the minimum virtual time (ties broken by
+// lowest rank id), parking at every gate and wait. Only host wall-clock
+// changes.
 //
-//   kParallel - conservative windowed PDES. Let T be the minimum
-//               eligibility over all runnable ranks and L the lookahead
-//               (the network's minimum end-to-end message latency,
-//               net_latency + mpi_sw_latency — the same causal window the
-//               kRankPick schedule point uses). Every rank whose
-//               eligibility lies strictly inside [T, T + L) is granted
-//               concurrently; each runs until its clock reaches the window
-//               end, then parks; when all grants have parked the next
-//               window opens. Causality: a message sent inside the window
-//               at time S >= T arrives at S + L >= T + L, i.e. at or after
-//               the window end, so no in-window rank can observe another
-//               in-window rank's sends. All cross-rank observation
-//               happens at times < window end, against mailbox state that
-//               was complete when the window opened. Virtual times,
-//               matching order, numerics, archives and metrics are
-//               therefore BIT-IDENTICAL to kSerial; only host wall-clock
-//               changes.
-//
-// Notify equivalence (the subtle part). Serial notify() applies a message
-// arrival to the target's wake ONLY if the target is kWaiting at the
+// Notify equivalence (the subtle part). In the min-clock order, a message
+// arrival lowers the target's wake ONLY if the target is kWaiting at the
 // moment the sender posts — otherwise it is dropped (the target re-reads
 // the mailbox itself when it next waits). That moment is defined by the
-// serial grant order, which is nondecreasing in (eligibility, rank id):
-// the token always goes to the minimum, and a parking rank's next
-// eligibility never falls below its grant time. A send therefore executes
-// at serial-order position (S, sender) where S is the sender's SEGMENT
-// START — its clock at the last grant/gate/wait boundary before the send —
-// and the serial decision is:
+// grant order, which is nondecreasing in (eligibility, rank id): the
+// minimum always runs next, and a parking rank's next eligibility never
+// falls below its grant time. A send therefore executes at position
+// (S, sender) where S is the sender's SEGMENT START — its clock at the last
+// grant/gate/wait boundary before the send — and the decision is:
 //
 //   dropped   if (S, sender) < (E, target)      [target still running its
 //                                                pre-park segment, or in an
@@ -56,8 +54,8 @@
 //   deferred  if (S, sender) > (W, target)      [lands on a later wait]
 //
 // where E is the target's segment start before its park and W its
-// (progressively lowered) effective wake. The parallel engine reproduces
-// this exactly: each rank tracks its segment start, notify() records
+// (progressively lowered) effective wake. The engine reproduces this
+// exactly: each rank tracks its segment start, notify() records
 // (S, sender, stamp) into the target's pending list, and the records are
 // resolved with the rule above — sorted by (S, sender) — at the target's
 // own wait calls and at every window barrier. Records that would land in
@@ -65,10 +63,20 @@
 // least S + window, past that interval's wake), so host-side delivery
 // timing cannot change any outcome.
 //
-// The parallel mode silently degenerates to serial granting (window width
-// 0 still grants exactly the minimum rank) whenever a schedule controller
-// is installed: fuzz/record/replay decisions form one globally ordered
-// log, which only a total order over grants can reproduce.
+// Window 0 (a schedule controller is installed, or no lookahead was
+// given). Each window holds exactly one grant, so host order IS grant
+// order — but under a fuzzed kRankPick that order is no longer
+// (eligibility, rank), and the ordered rule above would misplace records.
+// Instead every record is resolved at the next barrier by its target's
+// parked state, which is the state it had when the record was posted:
+// if the target is kWaiting and is not the sender, wake = min(wake,
+// max(stamp, clock)); otherwise the record is dropped. At the owner's own
+// wait_until only its own records can be pending; they are dropped.
+//
+// A schedule controller forces window 0 and a cap of one: fuzz/record/
+// replay decisions form one globally ordered log, which only a total order
+// over grants can reproduce. The kRankPick point then chooses the single
+// grant among the ranks strictly inside the lookahead (set_schedule).
 //
 // Interaction with the real-threads CPE backend (athread::Backend::
 // kThreads): CPE worker threads are NOT simulated ranks and never touch
@@ -88,7 +96,7 @@
 //
 // Rank states:
 //   kReady    - wants to run; eligible at its clock.
-//   kRunning  - granted (serial: at most one; parallel: up to the window).
+//   kRunning  - granted (up to the cap at once, within the open window).
 //   kWaiting  - blocked until its wake time; the wake time may be lowered
 //               by Coordinator::notify() when a matching message arrives,
 //               and may be kNever if the rank has no locally-known event.
@@ -128,7 +136,8 @@ class Cancelled : public Error {
 /// How the Coordinator grants execution (uswsim --coordinator).
 enum class CoordinatorMode : std::uint8_t { kSerial, kParallel };
 
-/// Parsed form of `--coordinator=serial|parallel[:threads=N]`.
+/// Parsed form of `--coordinator=serial|parallel[:threads=N]`: the
+/// concurrent-grant cap. kSerial is a cap of one.
 struct CoordinatorSpec {
   CoordinatorMode mode = CoordinatorMode::kSerial;
   /// Concurrent-grant cap for kParallel (0 = one per host core). Purely a
@@ -156,12 +165,14 @@ struct RankStatus {
 /// Diagnostic sink wired into the Coordinator (implemented by obs::DiagHub;
 /// declared here so sim does not depend on obs). Both callbacks run with
 /// the coordinator lock held:
-///  - on_rank_pick: an execution grant was decided; cheap, called per grant.
+///  - on_rank_pick: an execution grant was decided; cheap, called per grant
+///    (every grant of a window, in grant order). `candidates` is the
+///    kRankPick candidate count under a schedule controller, else 1.
 ///  - on_crash: the run is being cancelled (deadlock, watchdog stall, or an
 ///    explicit cancel). Called exactly once, BEFORE parked ranks are woken,
 ///    so their per-rank state is frozen and safe to snapshot — except ranks
 ///    whose status letter is 'R': a cancel raised by a throwing rank can
-///    leave other ranks mid-execution (in parallel mode, several), so
+///    leave other ranks mid-execution (with a cap above one, several), so
 ///    implementations must not touch per-rank state of running ranks.
 ///    Implementations must never call back into the Coordinator
 ///    (self-deadlock on the held lock).
@@ -177,16 +188,12 @@ class Coordinator {
  public:
   explicit Coordinator(int nranks);
 
-  /// `window` is the conservative lookahead for CoordinatorMode::kParallel
-  /// (ignored for kSerial); a zero window forces serial granting.
+  /// `window` is the conservative lookahead (the window width); `spec`
+  /// sets the concurrent-grant cap. A zero window grants one rank per
+  /// window, the minimum.
   Coordinator(int nranks, const CoordinatorSpec& spec, TimePs window);
 
   int size() const { return static_cast<int>(ranks_.size()); }
-
-  /// True when windowed-parallel granting is in effect (spec requested it,
-  /// the window is positive, and no schedule controller forced a total
-  /// grant order).
-  bool parallel_active() const { return par_; }
 
   /// Registers the calling thread as `rank` and blocks until it is granted
   /// execution for the first time.
@@ -198,44 +205,41 @@ class Coordinator {
   /// Current virtual time of `rank`.
   TimePs now(int rank) const;
 
-  /// Adds local work time. Only legal while `rank` is granted.
+  /// Adds local work time. Only legal while `rank` is granted (checked).
   void advance(int rank, TimePs dt);
 
   /// Yields the grant if required and blocks until `rank` may observe
   /// shared state at its current clock. Must be called before observing
-  /// incoming messages. In parallel mode this is a no-op while the rank's
-  /// clock is still inside the open window.
+  /// incoming messages. A no-op while the rank's clock is still inside the
+  /// open window. Requires the grant.
   void gate(int rank);
 
   /// Blocks until virtual time `wake` (a locally known future event such as
   /// an offloaded kernel completing), or earlier if notify() reports an
   /// external event first. On return the rank is granted and its clock
   /// equals the wake time that fired. `wake == kNever` blocks purely on
-  /// external notification.
+  /// external notification. Requires the grant.
   void wait_until(int rank, TimePs wake);
 
   /// Like wait_until, but for wakes derived from a scan of shared state
-  /// (e.g. mailbox arrival stamps): `refresh` recomputes that scan. In
-  /// parallel mode a scan made inside a window can miss a concurrent
-  /// sender's push whose serial position precedes it (there is no
-  /// real-time ordering between in-window segments), and the pending-
-  /// notify fold deliberately drops records positioned before the
-  /// target's segment on the assumption the scan covered them. The
-  /// coordinator therefore re-runs `refresh` at every window barrier
-  /// while the rank is parked — all pushes are mutex-ordered by then —
-  /// and folds the result into the wake, restoring exactly the serial
-  /// scan. `refresh` must not call back into the Coordinator (it runs
-  /// under the coordinator lock, on the barrier thread) and must stay
-  /// valid until this call returns; the serial path ignores it (its scan
-  /// is authoritative by construction).
+  /// (e.g. mailbox arrival stamps): `refresh` recomputes that scan. A scan
+  /// made inside a window can miss a send whose grant-order position
+  /// precedes it (there is no real-time ordering between in-window
+  /// segments, even at a cap of one), and the pending-notify fold
+  /// deliberately drops records positioned before the target's segment on
+  /// the assumption the scan covered them. The coordinator therefore
+  /// re-runs `refresh` at every window barrier while the rank is parked —
+  /// all pushes are mutex-ordered by then — and folds the result into the
+  /// wake, restoring exactly the min-clock-order scan. `refresh` must not
+  /// call back into the Coordinator (it runs under the coordinator lock,
+  /// on the barrier thread) and must stay valid until this call returns.
   void wait_until(int rank, TimePs wake, const std::function<TimePs()>& refresh);
 
   /// Reports an external event for `rank` (e.g. message arrival) stamped at
   /// virtual time `stamp`. Callable from any granted rank. `src` is the
-  /// posting rank; parallel mode requires it (the record's serial-order
-  /// position is the sender's segment start — see the header comment), the
-  /// serial path ignores it.
-  void notify(int rank, TimePs stamp, int src = -1);
+  /// posting rank: the record's grant-order position is its segment start
+  /// (see the header comment).
+  void notify(int rank, TimePs stamp, int src);
 
   /// Cancels the simulation; all blocked ranks throw Cancelled.
   void cancel(const std::string& why);
@@ -266,16 +270,17 @@ class Coordinator {
   /// would send, because that message arrives at >= T_A + lookahead >
   /// T_B. `lookahead` should be the minimum message latency (wire +
   /// software). Null disables (canonical min-clock order). A non-null
-  /// controller forces serial granting (its decision log is totally
-  /// ordered). Call before ranks start.
+  /// controller forces a zero window and a cap of one — one grant at a
+  /// time, so its decision log is totally ordered. Call before ranks
+  /// start.
   void set_schedule(schedpt::ScheduleController* schedule, TimePs lookahead);
 
  private:
   enum class State : std::uint8_t { kUnstarted, kReady, kRunning, kWaiting, kFinished };
 
-  /// Parallel mode: one notify() record awaiting serial-order resolution.
-  /// `seg` is the SENDER's segment start at post time — the record's
-  /// position in the serial grant order (see header comment).
+  /// One notify() record awaiting resolution. `seg` is the SENDER's
+  /// segment start at post time — the record's position in the grant
+  /// order (see header comment).
   struct NotifyRec {
     TimePs seg;
     int src;
@@ -284,23 +289,23 @@ class Coordinator {
 
   struct RankSlot {
     State state = State::kUnstarted;
-    /// Owner-written (lock-free in parallel mode); everyone else reads it
+    /// Owner-written (lock-free); everyone else reads it
     /// either at a window barrier (mutex-ordered) or for diagnostics.
     std::atomic<TimePs> clock{0};
     TimePs wake = kNever;
-    /// Parallel mode: clock at this rank's last grant/gate/wait boundary —
-    /// where the serial coordinator would have granted its current segment.
+    /// Clock at this rank's last grant/gate/wait boundary — where the
+    /// min-clock order would have granted its current segment.
     /// Owner-written while running; grant_locked writes it at handoff.
     TimePs seg_start = 0;
-    /// Parallel mode: notify() records not yet resolved. `pending` is the
+    /// notify() records not yet resolved. `pending` is the
     /// senders' inbox (guarded by notify_mu, existence hinted by
-    /// has_notify); `retained` holds records whose serial position is
+    /// has_notify); `retained` holds records whose grant-order position is
     /// beyond this rank's last resolved wait, owner/barrier-accessed only.
     std::mutex notify_mu;
     std::vector<NotifyRec> pending;
     std::atomic<bool> has_notify{false};
     std::vector<NotifyRec> retained;
-    /// Parallel mode: authoritative wake recompute for the current
+    /// Authoritative wake recompute for the current
     /// kWaiting park (see the 3-arg wait_until). Points into the parked
     /// caller's frame; set under lock_ at park, cleared at grant. Null
     /// when the park's wake is a fixed local event.
@@ -308,32 +313,29 @@ class Coordinator {
     std::condition_variable cv;
   };
 
-  /// Serial mode: picks and signals the next rank to run. Requires lock_
-  /// held and no rank currently running.
-  void pick_next_locked();
-
-  // ---- Parallel (windowed) engine. All *_locked require lock_ held. ----
+  // ---- The windowed engine. All *_locked require lock_ held. ----
   /// Opens the next window: folds pending notifies, finds the minimum
-  /// eligibility, runs the deadlock/watchdog checks (bit-identical
-  /// messages to serial), and grants every rank strictly inside the window
-  /// (up to max_concurrent_ at once; the rest drain via release_locked).
+  /// eligibility, runs the deadlock/watchdog checks, and grants every rank
+  /// strictly inside the window (up to max_concurrent_ at once; the rest
+  /// drain via release_locked) — or, under a schedule controller, the one
+  /// rank its kRankPick point chooses.
   void open_window_locked();
-  /// Grants execution to `rank` (parallel mode).
-  void grant_locked(int rank);
+  /// Grants execution to `rank`; `candidates` goes to the diag sink.
+  void grant_locked(int rank, int candidates);
   /// An active rank stopped running: hand its slot to the next queued
   /// grant, or open the next window when it was the last one.
   void release_locked();
   /// Parks a granted rank in `state` (kReady or kWaiting, with `wake`) and
-  /// blocks until the next grant. Parallel-mode slow path of gate() and
-  /// wait_until(). `wake_fn` (may be null) is the barrier-time wake
-  /// recompute for scan-derived wakes.
+  /// blocks until the next grant. Slow path of gate() and wait_until().
+  /// `wake_fn` (may be null) is the barrier-time wake recompute for
+  /// scan-derived wakes.
   void park_and_block(int rank, State state, TimePs wake,
                       const std::function<TimePs()>* wake_fn = nullptr);
   /// Shared body of the wait_until overloads.
   void wait_until_impl(int rank, TimePs wake,
                        const std::function<TimePs()>* refresh);
-  /// Drains `rank`'s notify records and resolves them with the serial
-  /// grant-order rule (header comment): records before the current
+  /// Drains `rank`'s notify records and resolves them with the grant-order
+  /// rule (header comment; window 0 has its own): records before the current
   /// segment's start are dropped, records before the (progressively
   /// lowered) wake are applied, later records stay retained. `park_clock`
   /// is the clock the rank would park at; `waiting` distinguishes a
@@ -358,21 +360,20 @@ class Coordinator {
   /// rank is still frozen, then wakes everyone. Requires lock_ held.
   void crash_locked(const std::string& why);
 
-  /// Scan result shared by pick_next_locked and open_window_locked.
+  /// Minimum-eligibility scan of open_window_locked.
   struct MinScan {
     int best = -1;
     TimePs best_time = kNever;
     bool any_unfinished = false;
   };
   MinScan min_eligibility_locked() const;
-  /// Builds the serial-format "virtual-time deadlock: ..." message.
+  /// Builds the "virtual-time deadlock: ..." message.
   std::string deadlock_message_locked() const;
   /// True (and crashes) when granting at `best_time` trips the watchdog.
   bool watchdog_trips_locked(int best, TimePs best_time);
 
   mutable std::mutex lock_;
   std::vector<RankSlot> ranks_;
-  int running_ = -1;  ///< serial mode: the granted rank (-1 = none)
   std::atomic<bool> cancelled_{false};
   std::string cancel_reason_;
   schedpt::ScheduleController* schedule_ = nullptr;
@@ -381,16 +382,14 @@ class Coordinator {
   TimePs stall_threshold_ = 0;  // 0 = watchdog off
   std::atomic<TimePs> progress_mark_{0};  ///< newest heartbeat() clock
 
-  // Parallel mode. `par_` is fixed before any rank thread is released
-  // (constructor + set_schedule, both pre-start), so rank threads read it
-  // without the lock.
-  bool par_ = false;
-  int max_concurrent_ = 0;
-  TimePs window_ = 0;  ///< lookahead window width
+  // Fixed before any rank thread is released (constructor + set_schedule,
+  // both pre-start), so rank threads read them without the lock.
+  int max_concurrent_ = 1;  ///< concurrent-grant cap
+  TimePs window_ = 0;       ///< lookahead window width
   std::atomic<TimePs> window_end_{0};
   int started_ = 0;  ///< ranks registered (first window opens at size())
   int active_ = 0;   ///< granted-and-not-parked ranks this window
-  std::vector<int> grant_queue_;  ///< this window's grants, in serial order
+  std::vector<int> grant_queue_;  ///< this window's grants, in grant order
   std::size_t grant_next_ = 0;    ///< first not-yet-granted queue entry
 };
 
@@ -401,8 +400,8 @@ void run_ranks(int nranks, const std::function<void(Coordinator&, int)>& body);
 /// As above, with a schedule controller (may be null) deciding the
 /// coordinator's kRankPick points within `lookahead` of the minimum clock,
 /// an optional diagnostic sink + hang-watchdog threshold (see
-/// Coordinator::set_diag), and a coordinator mode (`lookahead` doubles as
-/// the parallel window width). On cancellation the StateError carries the
+/// Coordinator::set_diag), and a coordinator spec (the grant cap;
+/// `lookahead` doubles as the window width). On cancellation the StateError carries the
 /// cancel reason.
 void run_ranks(int nranks, const std::function<void(Coordinator&, int)>& body,
                schedpt::ScheduleController* schedule, TimePs lookahead,

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <vector>
 
+#include "schedpt/schedule.h"
 #include "sim/coordinator.h"
 #include "sim/trace.h"
 
@@ -68,7 +69,7 @@ TEST(Coordinator, NotifyWakesWaiter) {
     } else {
       c.advance(r, 200);
       c.gate(r);
-      c.notify(0, 300);
+      c.notify(0, 300, r);
       c.advance(r, 500);
       c.gate(r);
     }
@@ -85,7 +86,7 @@ TEST(Coordinator, NotifyNeverMovesClockBackwards) {
     } else {
       c.advance(r, 400);
       c.gate(r);
-      c.notify(0, 100);
+      c.notify(0, 100, r);
     }
   });
 }
@@ -98,7 +99,7 @@ TEST(Coordinator, EarlierNotifyLowersWake) {
     } else {
       c.advance(r, 250);
       c.gate(r);
-      c.notify(0, 250);
+      c.notify(0, 250, r);
       c.advance(r, 1);
       c.gate(r);
     }
@@ -131,7 +132,7 @@ TEST(Coordinator, ManyRanksDeterministicTimeline) {
       for (int i = 0; i < 50; ++i) {
         c.advance(r, (r * 7 + i * 3) % 11 + 1);
         c.gate(r);
-        if (r > 0) c.notify(r - 1, c.now(r) + 5);
+        if (r > 0) c.notify(r - 1, c.now(r) + 5, r);
       }
       finals[static_cast<std::size_t>(r)] = c.now(r);
     });
@@ -153,8 +154,9 @@ CoordinatorSpec parallel_spec(int threads = 0) {
   return spec;
 }
 
-/// Runs `body` under the serial coordinator, then under the windowed
-/// parallel one; any EXPECT inside the body asserts both ways.
+/// Runs `body` at window 0 (one minimum-clock grant at a time), then
+/// windowed at the parallel cap; any EXPECT inside the body asserts both
+/// ways.
 void run_both(int nranks, TimePs window,
               const std::function<void(Coordinator&, int)>& body) {
   run_ranks(nranks, body);
@@ -183,13 +185,25 @@ TEST(CoordinatorSpec, ParsesModesAndThreads) {
 }
 
 TEST(ParallelCoordinator, DegeneratesToSerialWithoutWindowOrRanks) {
-  // A zero window or a single rank takes the serial path outright.
-  const Coordinator zero_window(4, parallel_spec(), 0);
-  EXPECT_FALSE(zero_window.parallel_active());
-  const Coordinator one_rank(1, parallel_spec(), 100);
-  EXPECT_FALSE(one_rank.parallel_active());
-  const Coordinator real(4, parallel_spec(), 100);
-  EXPECT_TRUE(real.parallel_active());
+  // A zero window grants one rank at a time, always the minimum, whatever
+  // the cap: gates complete in GateOrdersByClock's order. So does a
+  // single rank under a real window.
+  auto gate_order = [](int nranks, TimePs window) {
+    std::mutex mu;
+    std::vector<int> order;
+    run_ranks(
+        nranks,
+        [&](Coordinator& c, int r) {
+          c.advance(r, (r + 1) * 10);
+          c.gate(r);
+          std::lock_guard<std::mutex> lock(mu);
+          order.push_back(r);
+        },
+        nullptr, window, nullptr, 0, parallel_spec());
+    return order;
+  };
+  EXPECT_EQ(gate_order(4, 0), (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(gate_order(1, 100), (std::vector<int>{0}));
 }
 
 TEST(ParallelCoordinator, NotifyWakesWaiter) {
@@ -238,10 +252,10 @@ TEST(ParallelCoordinator, EarlierNotifyLowersWake) {
 
 TEST(ParallelCoordinator, TimelineMatchesSerial) {
   // A communication-free virtual-time dance with in-window waits: final
-  // clocks must be identical under serial and windowed-parallel granting,
-  // for any grant cap.
+  // clocks must be identical to one-grant-at-a-time (window 0) order
+  // under windowed granting, for any grant cap.
   constexpr TimePs kWindow = 100;
-  auto timeline = [&](const CoordinatorSpec& spec) {
+  auto timeline = [&](const CoordinatorSpec& spec, TimePs window) {
     std::vector<TimePs> finals(6);
     run_ranks(
         6,
@@ -257,30 +271,72 @@ TEST(ParallelCoordinator, TimelineMatchesSerial) {
           }
           finals[static_cast<std::size_t>(r)] = c.now(r);
         },
-        nullptr, kWindow, nullptr, 0, spec);
+        nullptr, window, nullptr, 0, spec);
     return finals;
   };
-  const std::vector<TimePs> serial = timeline(CoordinatorSpec{});
-  EXPECT_EQ(serial, timeline(parallel_spec()));
-  EXPECT_EQ(serial, timeline(parallel_spec(1)));
-  EXPECT_EQ(serial, timeline(parallel_spec(2)));
+  const std::vector<TimePs> serial = timeline(CoordinatorSpec{}, 0);
+  EXPECT_EQ(serial, timeline(CoordinatorSpec{}, kWindow));
+  EXPECT_EQ(serial, timeline(parallel_spec(), kWindow));
+  EXPECT_EQ(serial, timeline(parallel_spec(1), kWindow));
+  EXPECT_EQ(serial, timeline(parallel_spec(2), kWindow));
 }
 
 TEST(ParallelCoordinator, DeadlockMessageMatchesSerial) {
-  auto deadlock_msg = [](const CoordinatorSpec& spec) {
+  auto deadlock_msg = [](const CoordinatorSpec& spec, TimePs window = 50) {
     try {
       run_ranks(
           2, [](Coordinator& c, int r) { c.wait_until(r, kNever); }, nullptr,
-          50, nullptr, 0, spec);
+          window, nullptr, 0, spec);
     } catch (const StateError& e) {
       return std::string(e.what());
     }
     ADD_FAILURE() << "no deadlock under " << spec.describe();
     return std::string();
   };
-  const std::string serial = deadlock_msg(CoordinatorSpec{});
+  const std::string serial = deadlock_msg(CoordinatorSpec{}, 0);
   EXPECT_NE(serial.find("deadlock"), std::string::npos);
+  EXPECT_EQ(serial, deadlock_msg(CoordinatorSpec{}));
   EXPECT_EQ(serial, deadlock_msg(parallel_spec()));
+}
+
+/// Takes the last candidate at every schedule point: the coordinator's
+/// kRankPick then never grants the canonical minimum when it has a choice.
+class LastCandidate : public schedpt::ScheduleController {
+ public:
+  LastCandidate() : ScheduleController(schedpt::ScheduleSpec{}) {}
+
+ protected:
+  int decide(schedpt::PointKind, int, int n, std::uint64_t) override {
+    return n - 1;
+  }
+  void on_finish(const std::vector<Entry>&) override {}
+};
+
+TEST(ScheduledCoordinator, LaterGrantLowersFixedWakeOfEarlierParkedRank) {
+  // With the last candidate always granted, rank 1 runs first and parks on
+  // a fixed wake (segment start 20) before rank 0, whose segment starts at
+  // 10, notifies it. One rank at a time, rank 1 is waiting when the notify
+  // posts, so its wake drops from 1000 to the arrival at 100 — even though
+  // the sender's (segment start, rank) precedes the waiter's.
+  LastCandidate pick_last;
+  TimePs woke = 0;
+  run_ranks(
+      2,
+      [&](Coordinator& c, int r) {
+        if (r == 1) {
+          c.advance(r, 20);
+          c.gate(r);
+          c.wait_until(r, 1000);
+          woke = c.now(r);
+        } else {
+          c.advance(r, 10);
+          c.gate(r);
+          c.notify(1, 100, r);
+        }
+      },
+      &pick_last, 50);
+  EXPECT_EQ(woke, 100);
+  EXPECT_GT(pick_last.counters().total(), 0U);
 }
 
 /// Minimal crash-capturing diagnostic sink for watchdog tests.
@@ -295,8 +351,9 @@ struct CrashSink : DiagSink {
 
 TEST(ParallelCoordinator, WatchdogReasonMatchesSerial) {
   // No heartbeat ever: the second window outruns the stall threshold. The
-  // cancel reason (rank, virtual times) must be bit-identical to serial.
-  auto fire = [](const CoordinatorSpec& spec) {
+  // cancel reason (rank, virtual times) must be bit-identical to the
+  // one-grant-at-a-time (window 0) order's.
+  auto fire = [](const CoordinatorSpec& spec, TimePs window = 50) {
     CrashSink sink;
     try {
       run_ranks(
@@ -307,7 +364,7 @@ TEST(ParallelCoordinator, WatchdogReasonMatchesSerial) {
               c.gate(r);
             }
           },
-          nullptr, 50, &sink, 500, spec);
+          nullptr, window, &sink, 500, spec);
       ADD_FAILURE() << "watchdog did not fire under " << spec.describe();
     } catch (const StateError& e) {
       EXPECT_NE(std::string(e.what()).find("hang watchdog"),
@@ -315,8 +372,9 @@ TEST(ParallelCoordinator, WatchdogReasonMatchesSerial) {
     }
     return sink.reason;
   };
-  const std::string serial = fire(CoordinatorSpec{});
+  const std::string serial = fire(CoordinatorSpec{}, 0);
   EXPECT_NE(serial.find("hang watchdog"), std::string::npos);
+  EXPECT_EQ(serial, fire(CoordinatorSpec{}));
   EXPECT_EQ(serial, fire(parallel_spec()));
 }
 
