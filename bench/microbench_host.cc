@@ -9,8 +9,10 @@
 
 #include "apps/burgers/kernels.h"
 #include "apps/burgers/phi.h"
+#include "hw/cost_model.h"
 #include "hw/ldm.h"
 #include "kern/fastexp.h"
+#include "sched/tile_exec.h"
 #include "sim/coordinator.h"
 #include "support/rng.h"
 #include "var/ccvariable.h"
@@ -130,6 +132,30 @@ void BM_CoordinatorHandoff(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 200);
 }
 BENCHMARK(BM_CoordinatorHandoff);
+
+void BM_OffloadPlan(benchmark::State& state) {
+  // Host cost of planning one offload of the paper's 128x128x512 patch
+  // (4096 16x16x8 tiles on 64 CPEs): the tiling plus the tile->CPE
+  // assignment the scheduler makes on a task's first offload.
+  const auto policy = static_cast<sched::TilePolicy>(state.range(0));
+  const hw::CostModel cost(hw::MachineParams::sunway_taihulight());
+  const kern::KernelVariants kv = apps::burgers::make_burgers_kernel(false);
+  sched::TileExecArgs args;
+  args.kernel = &kv;
+  args.patch_cells = grid::Box{{0, 0, 0}, {128, 128, 512}};
+  args.policy = policy;
+  for (auto _ : state) {
+    const grid::Tiling tiling(args.patch_cells, kv.tile_shape);
+    const sched::TileAssignment plan =
+        sched::plan_tile_assignment(args, tiling, 64, 64, cost);
+    benchmark::DoNotOptimize(plan.est_busy.data());
+  }
+  state.SetLabel(sched::to_string(policy));
+  state.SetItemsProcessed(state.iterations() * 4096);
+}
+BENCHMARK(BM_OffloadPlan)
+    ->Arg(static_cast<int>(sched::TilePolicy::kStaticZ))
+    ->Arg(static_cast<int>(sched::TilePolicy::kDynamic));
 
 }  // namespace
 

@@ -5,7 +5,7 @@
 namespace usw::grid {
 
 Tiling::Tiling(const Box& patch_cells, IntVec tile_shape)
-    : tile_shape_(tile_shape) {
+    : patch_(patch_cells), tile_shape_(tile_shape) {
   if (tile_shape.x <= 0 || tile_shape.y <= 0 || tile_shape.z <= 0)
     throw ConfigError("tile shape must be positive: " + tile_shape.to_string());
   USW_ASSERT_MSG(!patch_cells.empty(), "tiling an empty patch");
@@ -13,14 +13,14 @@ Tiling::Tiling(const Box& patch_cells, IntVec tile_shape)
   tile_grid_ = IntVec{(size.x + tile_shape.x - 1) / tile_shape.x,
                       (size.y + tile_shape.y - 1) / tile_shape.y,
                       (size.z + tile_shape.z - 1) / tile_shape.z};
-  tiles_.reserve(static_cast<std::size_t>(tile_grid_.volume()));
-  for (int tk = 0; tk < tile_grid_.z; ++tk)
-    for (int tj = 0; tj < tile_grid_.y; ++tj)
-      for (int ti = 0; ti < tile_grid_.x; ++ti) {
-        const IntVec lo = patch_cells.lo + IntVec{ti, tj, tk} * tile_shape;
-        const IntVec hi = IntVec::min(lo + tile_shape, patch_cells.hi);
-        tiles_.emplace_back(lo, hi);
-      }
+  num_tiles_ = static_cast<int>(tile_grid_.volume());
+}
+
+std::vector<Box> Tiling::tiles() const {
+  std::vector<Box> out;
+  out.reserve(static_cast<std::size_t>(num_tiles_));
+  for (int t = 0; t < num_tiles_; ++t) out.push_back(tile(t));
+  return out;
 }
 
 std::vector<int> Tiling::tiles_for_cpe(int cpe_id, int n_cpes) const {

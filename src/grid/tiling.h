@@ -11,12 +11,17 @@
 // (dynamic/guided) assignments on top of this class; the Tiling itself only
 // defines the tile geometry and ordering (x-fastest, then y, then z) that
 // the shared grab counter walks.
+//
+// Like a CPE working out its tiles from its own id, a Tiling stores no
+// tiles: tile(i) computes the clipped box from the index, so constructing
+// one is a few integer ops and every CPE body can build its own.
 
 #include <cstdint>
 #include <vector>
 
 #include "grid/box.h"
 #include "grid/intvec.h"
+#include "support/error.h"
 
 namespace usw::grid {
 
@@ -29,9 +34,18 @@ class Tiling {
   IntVec tile_shape() const { return tile_shape_; }
   /// Number of tiles along each axis.
   IntVec tile_grid() const { return tile_grid_; }
-  int num_tiles() const { return static_cast<int>(tiles_.size()); }
-  const Box& tile(int index) const { return tiles_.at(static_cast<std::size_t>(index)); }
-  const std::vector<Box>& tiles() const { return tiles_; }
+  int num_tiles() const { return num_tiles_; }
+  /// Tile `index` in x-fastest, then y, then z order, clipped to the patch.
+  Box tile(int index) const {
+    USW_ASSERT_MSG(index >= 0 && index < num_tiles_, "tile index out of range");
+    const int per_slab = tile_grid_.x * tile_grid_.y;
+    const IntVec t{index % tile_grid_.x, index % per_slab / tile_grid_.x,
+                   index / per_slab};
+    const IntVec lo = patch_.lo + t * tile_shape_;
+    return Box{lo, IntVec::min(lo + tile_shape_, patch_.hi)};
+  }
+  /// Every tile, in index order. Builds a vector: keep it off hot paths.
+  std::vector<Box> tiles() const;
 
   /// Tile indices assigned to `cpe_id` of `n_cpes`: z-slabs are divided
   /// contiguously and as evenly as possible among the CPEs.
@@ -46,9 +60,10 @@ class Tiling {
                                          int fields_read, int fields_written);
 
  private:
+  Box patch_;
   IntVec tile_shape_;
   IntVec tile_grid_;
-  std::vector<Box> tiles_;  ///< x-fastest, then y, then z (slab-major)
+  int num_tiles_ = 0;
 };
 
 }  // namespace usw::grid

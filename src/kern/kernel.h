@@ -45,7 +45,9 @@ struct KernelVariants {
   grid::IntVec tile_shape{16, 16, 8};  ///< LDM tile (Sec VI-A)
   bool use_ieee_exp = false;  ///< pick the slow conforming exp library
   /// Optional per-patch work multiplier for spatially imbalanced physics;
-  /// the cost model charges cost.scaled(cost_scale(patch)). Empty = 1.0.
+  /// the cost model charges cost.scaled(cost_scale(patch)). Must be a pure
+  /// function of the patch: the scheduler plans each task's tile assignment
+  /// once and reuses it every step. Empty = 1.0.
   std::function<double(const grid::Patch&)> cost_scale;
   /// Optional per-tile work multiplier on top of cost_scale, keyed by the
   /// tile's interior box (e.g. a hotspot bubble where the physics converges
@@ -70,7 +72,8 @@ struct KernelVariants {
     if (!tile_cost_scale) return 1.0;
     double weighted = 0.0;
     double cells = 0.0;
-    for (const grid::Box& tile : tiling.tiles()) {
+    for (int t = 0; t < tiling.num_tiles(); ++t) {
+      const grid::Box tile = tiling.tile(t);
       const auto volume = static_cast<double>(tile.volume());
       weighted += scale_for_tile(tile) * volume;
       cells += volume;

@@ -40,6 +40,7 @@ Scheduler::Scheduler(SchedulerConfig config, const grid::Level& level,
                      sim::Trace& trace)
     : config_(config), level_(level), graph_(graph), comm_(comm),
       cluster_(cluster), counters_(counters), trace_(trace),
+      plans_(graph.tasks.size()),
       degraded_(static_cast<std::size_t>(cluster.n_groups()), 0),
       fail_streak_(static_cast<std::size_t>(cluster.n_groups()), 0) {}
 
@@ -331,13 +332,12 @@ void Scheduler::offload_stencil(task::TaskContext& ctx, int dt_index, int group)
     args.fault.step = step_;
     args.fault.task = dt_index;
   }
-  // Plan the tile->CPE assignment once per offload on the MPE and hand the
-  // same plan to the job, the race detector, and the telemetry, so all
-  // three see the assignment actually executed.
+  // Plan the tile->CPE assignment on the MPE and hand the same plan to the
+  // job, the race detector, and the telemetry, so all three see the
+  // assignment actually executed.
   const grid::Tiling tiling(patch.cells(), kernel.tile_shape);
-  const auto plan = std::make_shared<const TileAssignment>(plan_tile_assignment(
-      args, tiling, cluster_.group_size(), cluster_.n_cpes(),
-      comm_.net().cost(), config_.schedule, comm_.rank()));
+  const std::shared_ptr<const TileAssignment> plan =
+      tile_plan(args, tiling, dt_index);
   if (config_.checker != nullptr) {
     config_.checker->record_stencil_read(dt_index, dt.task->stencil_in(),
                                          dt.task->stencil_in_dw(),
@@ -407,6 +407,28 @@ void Scheduler::offload_stencil(task::TaskContext& ctx, int dt_index, int group)
   // The functional writes happened eagerly inside spawn(); the MPE-side
   // task scope ends here even though the offload is still in flight.
   if (config_.checker != nullptr) config_.checker->end_task();
+}
+
+std::shared_ptr<const TileAssignment> Scheduler::tile_plan(
+    const TileExecArgs& args, const grid::Tiling& tiling, int dt_index) {
+  auto plan_now = [&] {
+    return std::make_shared<const TileAssignment>(plan_tile_assignment(
+        args, tiling, cluster_.group_size(), cluster_.n_cpes(),
+        comm_.net().cost(), config_.schedule, comm_.rank()));
+  };
+  if (config_.schedule != nullptr) return plan_now();
+  CachedPlan& cached = plans_[static_cast<std::size_t>(dt_index)];
+  if (cached.plan == nullptr)
+    cached = CachedPlan{plan_now(),        args.cost_scale,
+                        args.vectorize,    args.packed_tiles,
+                        args.policy,       cluster_.group_size()};
+  USW_ASSERT_MSG(cached.cost_scale == args.cost_scale &&
+                     cached.vectorize == args.vectorize &&
+                     cached.packed_tiles == args.packed_tiles &&
+                     cached.policy == args.policy &&
+                     cached.group_size == cluster_.group_size(),
+                 "tile plan inputs changed between offloads of one task");
+  return cached.plan;
 }
 
 void Scheduler::sample_offload_imbalance(int group) {

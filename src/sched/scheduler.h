@@ -28,6 +28,7 @@
 //   4.   per-step bookkeeping (fixed cost), reduction allreduces.
 
 #include <deque>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -55,6 +56,8 @@ class ScheduleController;
 }  // namespace usw::schedpt
 
 namespace usw::sched {
+
+struct TileExecArgs;
 
 enum class SchedulerMode { kMpeOnly, kSyncMpeCpe, kAsyncMpeCpe };
 
@@ -201,6 +204,12 @@ class Scheduler {
   void mpe_part(task::TaskContext& ctx, int dt_index);
   void run_stencil_on_mpe(task::TaskContext& ctx, int dt_index);
   void offload_stencil(task::TaskContext& ctx, int dt_index, int group);
+  /// The tile->CPE assignment for offloading `dt_index` with `args`:
+  /// planned on the task's first offload and reused after, unless a
+  /// schedule controller is installed (it must see every kTileGrab point).
+  std::shared_ptr<const TileAssignment> tile_plan(const TileExecArgs& args,
+                                                  const grid::Tiling& tiling,
+                                                  int dt_index);
   /// Rolls the finished offload's per-CPE busy times into the metrics
   /// registry (max/mean busy, idle fraction). Called from the completion
   /// paths, where both backends observe the same scheduler state.
@@ -257,6 +266,19 @@ class Scheduler {
   int done_count_ = 0;
   int step_ = -1;                          ///< current ctx.step (-1 = init)
   std::vector<int> offloaded_;             ///< per CPE group: dt index or -1
+
+  /// A task's tile plan and the per-offload inputs it was planned from,
+  /// asserted equal on every reuse. The tiling, kernel and cost model are
+  /// fixed per task, so these complete the plan's inputs.
+  struct CachedPlan {
+    std::shared_ptr<const TileAssignment> plan;
+    double cost_scale = 1.0;
+    bool vectorize = false;
+    bool packed_tiles = false;
+    TilePolicy policy = TilePolicy::kStaticZ;
+    int group_size = 0;
+  };
+  std::vector<CachedPlan> plans_;          ///< per dt index, across steps
 
   // Resilience state, persistent across steps (a degraded group stays
   // degraded for the remainder of the run).

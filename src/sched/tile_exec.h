@@ -77,7 +77,7 @@ TileAssignment plan_tile_assignment(const TileExecArgs& args,
 
 /// Job for CpeCluster::spawn. Copies `args` by value; the views must stay
 /// valid until the offload completes. `plan` is the assignment from
-/// plan_tile_assignment (shared so the scheduler plans once per offload);
+/// plan_tile_assignment (shared so the scheduler plans once per task);
 /// when null, the job plans lazily on first CPE entry — callers that also
 /// feed the checker or telemetry should plan explicitly and pass it in.
 athread::CpeJob make_tile_job(TileExecArgs args,

@@ -5,6 +5,7 @@
 
 #include <numeric>
 #include <set>
+#include <vector>
 
 #include "grid/box.h"
 #include "grid/intvec.h"
@@ -224,6 +225,27 @@ TEST(Tiling, ClipsBoundaryTiles) {
   for (const Box& t : tiling.tiles()) total += t.volume();
   EXPECT_EQ(total, patch.volume());
   EXPECT_EQ(tiling.tile(1).size(), (IntVec{4, 10, 8}));  // clipped in x
+}
+
+TEST(Tiling, IndexMatchesTripleLoopOnOffsetClippedPatch) {
+  // Negative and non-zero lo, clipped on every axis: 3x2x5 tiles, the last
+  // along each axis partial.
+  const Box patch{{-3, 5, 17}, {37, 26, 50}};
+  const IntVec shape{16, 16, 8};
+  const Tiling tiling(patch, shape);
+  std::vector<Box> expected;
+  for (int z = patch.lo.z; z < patch.hi.z; z += shape.z)
+    for (int y = patch.lo.y; y < patch.hi.y; y += shape.y)
+      for (int x = patch.lo.x; x < patch.hi.x; x += shape.x)
+        expected.emplace_back(IntVec{x, y, z},
+                              IntVec::min(IntVec{x, y, z} + shape, patch.hi));
+  EXPECT_EQ(tiling.tile_grid(), (IntVec{3, 2, 5}));
+  ASSERT_EQ(tiling.num_tiles(), static_cast<int>(expected.size()));
+  for (int t = 0; t < tiling.num_tiles(); ++t)
+    EXPECT_EQ(tiling.tile(t), expected[static_cast<std::size_t>(t)]) << t;
+  EXPECT_EQ(tiling.tiles(), expected);
+  EXPECT_DEATH((void)tiling.tile(tiling.num_tiles()), "out of range");
+  EXPECT_DEATH((void)tiling.tile(-1), "out of range");
 }
 
 TEST(Tiling, ZPartitionAssignsAllTilesOnce) {
