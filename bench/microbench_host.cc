@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <memory>
 
 #include "apps/burgers/kernels.h"
 #include "apps/burgers/phi.h"
@@ -135,8 +136,9 @@ BENCHMARK(BM_CoordinatorHandoff);
 
 void BM_OffloadPlan(benchmark::State& state) {
   // Host cost of planning one offload of the paper's 128x128x512 patch
-  // (4096 16x16x8 tiles on 64 CPEs): the tiling plus the tile->CPE
-  // assignment the scheduler makes on a task's first offload.
+  // (4096 16x16x8 tiles on 64 CPEs): the tiling, the tile->CPE assignment
+  // and its charge walk, which the scheduler makes on a task's first
+  // offload.
   const auto policy = static_cast<sched::TilePolicy>(state.range(0));
   const hw::CostModel cost(hw::MachineParams::sunway_taihulight());
   const kern::KernelVariants kv = apps::burgers::make_burgers_kernel(false);
@@ -146,9 +148,9 @@ void BM_OffloadPlan(benchmark::State& state) {
   args.policy = policy;
   for (auto _ : state) {
     const grid::Tiling tiling(args.patch_cells, kv.tile_shape);
-    const sched::TileAssignment plan =
+    const sched::TilePlan plan =
         sched::plan_tile_assignment(args, tiling, 64, 64, cost);
-    benchmark::DoNotOptimize(plan.est_busy.data());
+    benchmark::DoNotOptimize(plan.busy.data());
   }
   state.SetLabel(sched::to_string(policy));
   state.SetItemsProcessed(state.iterations() * 4096);
@@ -156,6 +158,34 @@ void BM_OffloadPlan(benchmark::State& state) {
 BENCHMARK(BM_OffloadPlan)
     ->Arg(static_cast<int>(sched::TilePolicy::kStaticZ))
     ->Arg(static_cast<int>(sched::TilePolicy::kDynamic));
+
+void BM_OffloadCharge(benchmark::State& state) {
+  // Host cost of one timing-only offload of the planned 128x128x512 patch:
+  // spawn and join on a serial-backend cluster, every CPE charged from the
+  // plan. What each step pays per offload once the plan is cached.
+  const hw::CostModel cost(hw::MachineParams::sunway_taihulight());
+  const kern::KernelVariants kv = apps::burgers::make_burgers_kernel(false);
+  sched::TileExecArgs args;
+  args.kernel = &kv;
+  args.patch_cells = grid::Box{{0, 0, 0}, {128, 128, 512}};
+  const grid::Tiling tiling(args.patch_cells, kv.tile_shape);
+  const athread::CpeJob job = sched::make_tile_job(
+      args, std::make_shared<const sched::TilePlan>(
+                sched::plan_tile_assignment(args, tiling, 64, 64, cost)));
+  sim::Coordinator coord(1);
+  coord.start(0);
+  {
+    athread::CpeCluster cluster(cost, coord, 0);
+    for (auto _ : state) {
+      cluster.spawn(job);
+      cluster.join();
+      benchmark::DoNotOptimize(coord.now(0));
+    }
+  }
+  coord.finish(0);
+  state.SetItemsProcessed(state.iterations() * 4096);
+}
+BENCHMARK(BM_OffloadCharge);
 
 }  // namespace
 

@@ -108,47 +108,21 @@ class CpeContext {
   /// athread_put: synchronous DMA LDM -> main memory.
   void put(const void* src, void* dst, std::size_t bytes, bool strided = true);
 
-  /// Cost of one DMA of `bytes` without charging it (for the double-
-  /// buffered pipeline, which overlaps DMA with compute).
+  /// Cost of one DMA of `bytes` without charging it.
   TimePs dma_cost(std::size_t bytes, bool strided = true) const;
-  /// Records DMA traffic in the counters without charging time.
-  void count_dma(std::size_t bytes_in, std::size_t bytes_out);
 
   /// Charges compute time for `cells` cells of `kc` and counts its flops.
   void compute(std::uint64_t cells, const hw::KernelCost& kc, bool simd,
                bool ieee_exp = false);
 
-  /// Cost of the same compute without charging it.
-  TimePs compute_cost(std::uint64_t cells, const hw::KernelCost& kc, bool simd,
-                      bool ieee_exp = false) const;
-  /// Counts cells/flops without charging time.
-  void count_compute(std::uint64_t cells, const hw::KernelCost& kc);
-
-  /// Charges raw virtual time (e.g. tile-loop setup or pipelined stages).
+  /// Charges raw virtual time (e.g. an offload's planned busy time).
   void charge(TimePs dt) { busy_ += dt; }
 
-  /// Bumps the executed-tile counter.
-  void count_tile() {
-    if (counters_ != nullptr) counters_->tiles_executed += 1;
-  }
-
-  /// Counts an injected CPE-side fault (src/fault) in this CPE's private
-  /// slot; the ordered per-group fold keeps totals backend-identical.
-  void count_fault_injected() {
-    if (counters_ != nullptr) counters_->fault_injected += 1;
-  }
-  /// Counts a CPE-side recovery action (e.g. a re-issued DMA).
-  void count_fault_retry() {
-    if (counters_ != nullptr) counters_->fault_retries += 1;
-  }
-
-  /// Charges `grabs` faaw round trips to the shared tile counter (the
-  /// self-scheduling loop of the dynamic/guided tile policies) and counts
-  /// them.
-  void grab(int grabs) {
-    busy_ += static_cast<TimePs>(grabs) * cost_.cpe_faaw();
-    if (counters_ != nullptr)
-      counters_->tile_grabs += static_cast<std::uint64_t>(grabs);
+  /// Adds a counter delta (e.g. an offload's planned tiles, flops and
+  /// DMA traffic) to this CPE's private slot; the ordered per-group fold
+  /// keeps totals backend-identical.
+  void count(const hw::PerfCounters& delta) {
+    if (counters_ != nullptr) counters_->merge(delta);
   }
 
   const hw::CostModel& cost() const { return cost_; }

@@ -8,12 +8,14 @@
 // bump-allocated buffer: allocations hand out host memory so kernels
 // genuinely compute out of the staged copy, and exceeding the 64 KB
 // capacity fails the same way it would on hardware (at development time,
-// loudly).
+// loudly). The host buffer is allocated on the first alloc(), by the
+// thread that makes it, so an LDM that never stages data (timing-only
+// runs) costs no resident memory.
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
-#include <vector>
 
 #include "support/error.h"
 
@@ -36,23 +38,34 @@ class Ldm {
   /// the equivalent of an athread LDM overflow.
   template <typename T>
   std::span<T> alloc(std::size_t count) {
-    void* p = alloc_bytes(count * sizeof(T),
-                          alignof(T) > kAlign ? alignof(T) : kAlign);
-    return std::span<T>(static_cast<T*>(p), count);
+    const std::size_t offset = reserve<T>(count);
+    return std::span<T>(reinterpret_cast<T*>(base() + offset), count);
+  }
+
+  /// Books `count` elements of T exactly as alloc() would — same
+  /// alignment, same overflow ResourceError — without touching storage,
+  /// and returns their offset. Lets a planner check a staging pattern
+  /// against the capacity before any CPE runs.
+  template <typename T>
+  std::size_t reserve(std::size_t count) {
+    return reserve_bytes(count * sizeof(T),
+                         alignof(T) > kAlign ? alignof(T) : kAlign);
   }
 
   /// Releases everything (end of a tile); pointers become invalid.
   void reset() { used_ = 0; }
 
  private:
-  void* alloc_bytes(std::size_t bytes, std::size_t align);
+  std::size_t reserve_bytes(std::size_t bytes, std::size_t align);
+  /// The storage base, allocated on first use.
+  std::byte* base();
 
-  /// One SIMD line; std::allocator honours its over-alignment.
+  /// One SIMD line; array new honours its over-alignment.
   struct alignas(kAlign) Line {
     std::byte bytes[kAlign];
   };
 
-  std::vector<Line> storage_;  ///< capacity rounded up to whole lines
+  std::unique_ptr<Line[]> storage_;  ///< capacity rounded up to whole lines
   std::size_t capacity_;
   std::size_t used_ = 0;
 };

@@ -325,19 +325,20 @@ void Scheduler::offload_stencil(task::TaskContext& ctx, int dt_index, int group)
   args.packed_tiles = config_.packed_tiles;
   args.cost_scale = kernel.scale_for(patch);
   args.policy = config_.tile_policy;
-  if (config_.faults != nullptr) {
+  if (config_.faults != nullptr &&
+      config_.faults->plan().has(fault::FaultKind::kDmaError)) {
     args.fault.plan = &config_.faults->plan();
     args.fault.incarnation = config_.faults->incarnation();
     args.fault.rank = comm_.rank();
     args.fault.step = step_;
     args.fault.task = dt_index;
   }
-  // Plan the tile->CPE assignment on the MPE and hand the same plan to the
-  // job, the race detector, and the telemetry, so all three see the
-  // assignment actually executed.
+  // Plan the offload on the MPE (the tile->CPE assignment and the CPE
+  // charge; an LDM overflow throws here, before the spawn) and hand the
+  // same plan to the job, the race detector, and the telemetry, so all
+  // three see the assignment actually executed.
   const grid::Tiling tiling(patch.cells(), kernel.tile_shape);
-  const std::shared_ptr<const TileAssignment> plan =
-      tile_plan(args, tiling, dt_index);
+  const std::shared_ptr<const TilePlan> plan = tile_plan(args, tiling, dt_index);
   if (config_.checker != nullptr) {
     config_.checker->record_stencil_read(dt_index, dt.task->stencil_in(),
                                          dt.task->stencil_in_dw(),
@@ -345,13 +346,13 @@ void Scheduler::offload_stencil(task::TaskContext& ctx, int dt_index, int group)
     config_.checker->record_write(dt_index, dt.task->stencil_out(), patch.cells());
     // The tile-partition race detector: the per-CPE write-sets of this
     // offload must partition the patch interior exactly.
-    config_.checker->record_tile_partition(dt_index, patch.cells(),
-                                           tile_writes(tiling, *plan));
+    config_.checker->record_tile_partition(
+        dt_index, patch.cells(), tile_writes(tiling, plan->assignment));
   }
   if (config_.metrics != nullptr) {
     config_.metrics->sample(
         "offload.cells", static_cast<double>(patch.cells().volume()));
-    for (const auto& [cpe, box] : tile_writes(tiling, *plan))
+    for (const auto& [cpe, box] : tile_writes(tiling, plan->assignment))
       config_.metrics->sample("tile.cells", static_cast<double>(box.volume()));
   }
   const std::string label = dt.task->name() + " p" + std::to_string(dt.patch_id);
@@ -409,10 +410,11 @@ void Scheduler::offload_stencil(task::TaskContext& ctx, int dt_index, int group)
   if (config_.checker != nullptr) config_.checker->end_task();
 }
 
-std::shared_ptr<const TileAssignment> Scheduler::tile_plan(
-    const TileExecArgs& args, const grid::Tiling& tiling, int dt_index) {
+std::shared_ptr<const TilePlan> Scheduler::tile_plan(const TileExecArgs& args,
+                                                     const grid::Tiling& tiling,
+                                                     int dt_index) {
   auto plan_now = [&] {
-    return std::make_shared<const TileAssignment>(plan_tile_assignment(
+    return std::make_shared<const TilePlan>(plan_tile_assignment(
         args, tiling, cluster_.group_size(), cluster_.n_cpes(),
         comm_.net().cost(), config_.schedule, comm_.rank()));
   };
@@ -420,10 +422,12 @@ std::shared_ptr<const TileAssignment> Scheduler::tile_plan(
   CachedPlan& cached = plans_[static_cast<std::size_t>(dt_index)];
   if (cached.plan == nullptr)
     cached = CachedPlan{plan_now(),        args.cost_scale,
-                        args.vectorize,    args.packed_tiles,
-                        args.policy,       cluster_.group_size()};
+                        args.vectorize,    args.async_dma,
+                        args.packed_tiles, args.policy,
+                        cluster_.group_size()};
   USW_ASSERT_MSG(cached.cost_scale == args.cost_scale &&
                      cached.vectorize == args.vectorize &&
+                     cached.async_dma == args.async_dma &&
                      cached.packed_tiles == args.packed_tiles &&
                      cached.policy == args.policy &&
                      cached.group_size == cluster_.group_size(),

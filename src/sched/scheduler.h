@@ -58,6 +58,7 @@ class ScheduleController;
 namespace usw::sched {
 
 struct TileExecArgs;
+struct TilePlan;
 
 enum class SchedulerMode { kMpeOnly, kSyncMpeCpe, kAsyncMpeCpe };
 
@@ -204,12 +205,13 @@ class Scheduler {
   void mpe_part(task::TaskContext& ctx, int dt_index);
   void run_stencil_on_mpe(task::TaskContext& ctx, int dt_index);
   void offload_stencil(task::TaskContext& ctx, int dt_index, int group);
-  /// The tile->CPE assignment for offloading `dt_index` with `args`:
-  /// planned on the task's first offload and reused after, unless a
-  /// schedule controller is installed (it must see every kTileGrab point).
-  std::shared_ptr<const TileAssignment> tile_plan(const TileExecArgs& args,
-                                                  const grid::Tiling& tiling,
-                                                  int dt_index);
+  /// The tile plan (assignment and CPE charge) for offloading `dt_index`
+  /// with `args`: planned on the task's first offload and reused after,
+  /// unless a schedule controller is installed (it must see every
+  /// kTileGrab point).
+  std::shared_ptr<const TilePlan> tile_plan(const TileExecArgs& args,
+                                            const grid::Tiling& tiling,
+                                            int dt_index);
   /// Rolls the finished offload's per-CPE busy times into the metrics
   /// registry (max/mean busy, idle fraction). Called from the completion
   /// paths, where both backends observe the same scheduler state.
@@ -271,9 +273,10 @@ class Scheduler {
   /// asserted equal on every reuse. The tiling, kernel and cost model are
   /// fixed per task, so these complete the plan's inputs.
   struct CachedPlan {
-    std::shared_ptr<const TileAssignment> plan;
+    std::shared_ptr<const TilePlan> plan;
     double cost_scale = 1.0;
     bool vectorize = false;
+    bool async_dma = false;
     bool packed_tiles = false;
     TilePolicy policy = TilePolicy::kStaticZ;
     int group_size = 0;

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
-#include <mutex>
-#include <span>
 #include <vector>
 
+#include "hw/ldm.h"
 #include "support/error.h"
 
 namespace usw::sched {
@@ -22,21 +21,8 @@ void copy_region(const kern::FieldView& src, const kern::FieldView& dst,
                   row * sizeof(double));
 }
 
-/// One tile, functionally: stage in, run the kernel, stage out. Used by
-/// both the synchronous and the double-buffered timing paths (the pipeline
-/// changes when time is charged, not what is computed).
-void run_tile_functional(const TileExecArgs& args, const grid::Box& tile,
-                         const grid::Box& ghosted, kern::FieldView ldm_in,
-                         kern::FieldView ldm_out) {
-  copy_region(args.in, ldm_in, ghosted);
-  args.kernel->variant(args.vectorize)(args.env, ldm_in, ldm_out, tile);
-  copy_region(ldm_out, args.out, tile);
-}
-
 /// The operation mix charged for `tile`: the patch-scaled base, optionally
-/// further scaled by the kernel's per-tile cost function. The planner's
-/// estimator calls this too, so estimated and charged costs are the same
-/// expression (bit-identical).
+/// further scaled by the kernel's per-tile cost function.
 hw::KernelCost tile_kernel_cost(const kern::KernelVariants& kernel,
                                 const hw::KernelCost& base,
                                 const grid::Box& tile) {
@@ -44,156 +30,178 @@ hw::KernelCost tile_kernel_cost(const kern::KernelVariants& kernel,
   return base.scaled(kernel.scale_for_tile(tile));
 }
 
-/// Injected DMA error on tile `t`? A failed athread_get is detected by the
-/// CPE and re-issued: the recovery charges one extra input transfer and
-/// counts in this CPE's private slot, so it is purely local and
-/// order-independent (the numerics are untouched — the retry rereads the
-/// same main-memory bytes).
-bool tile_dma_error(const TileExecArgs& args, int t) {
-  return args.fault.plan != nullptr &&
-         args.fault.plan->dma_error(args.fault.incarnation, args.fault.rank,
-                                    args.fault.step, args.fault.task, t);
+std::uint64_t bytes_of(std::uint64_t cells) { return cells * sizeof(double); }
+
+/// One tile of the paper's loop (Sec V-D): its staging sizes and flops
+/// and, when priced, its three stage times.
+struct TileCharge {
+  std::uint64_t ghosted = 0;   ///< cells staged in (the ghosted tile)
+  std::uint64_t interior = 0;  ///< cells computed and staged out
+  double flops = 0.0;          ///< counted flops
+  TimePs get = 0;              ///< athread_get of the ghosted tile
+  TimePs compute = 0;          ///< tile-loop overhead + kernel
+  TimePs put = 0;              ///< athread_put of the interior
+};
+
+/// Checks one CPE's staging buffers against the LDM, with hw::Ldm's own
+/// bump arithmetic and overflow error: per tile, a ghosted input and an
+/// interior output under synchronous DMA; two pairs sized by the largest
+/// tile under double buffering. `mine` is the CPE's tiles in execution
+/// order.
+void check_ldm(hw::Ldm& ldm, const std::vector<TileCharge>& mine,
+               bool async_dma) {
+  if (!async_dma) {
+    for (const TileCharge& tile : mine) {
+      ldm.reset();
+      ldm.reserve<double>(tile.ghosted);
+      ldm.reserve<double>(tile.interior);
+    }
+    return;
+  }
+  if (mine.empty()) return;
+  std::uint64_t max_ghosted = 0, max_interior = 0;
+  for (const TileCharge& tile : mine) {
+    max_ghosted = std::max(max_ghosted, tile.ghosted);
+    max_interior = std::max(max_interior, tile.interior);
+  }
+  ldm.reset();
+  ldm.reserve<double>(max_ghosted);
+  ldm.reserve<double>(max_ghosted);
+  ldm.reserve<double>(max_interior);
+  ldm.reserve<double>(max_interior);
 }
 
-/// Synchronous per-tile loop: the paper's current implementation
-/// (Sec V-D: "does not make use of the fact that the memory-LDM transfer
-/// can be asynchronous").
-void run_sync(const TileExecArgs& args, athread::CpeContext& ctx,
-              const grid::Tiling& tiling, const std::vector<int>& mine,
-              bool functional) {
+/// Busy time of one CPE's tiles (priced, in execution order) under
+/// double buffering (Sec IX): the prologue get and the last put are
+/// exposed; in between, tile i's stage takes
+/// max(compute_i, get_{i+1} + put_{i-1}).
+TimePs double_buffered_busy(const std::vector<TileCharge>& mine) {
+  const std::size_t n = mine.size();
+  if (n == 0) return 0;
+  TimePs busy = mine.front().get + mine.back().put;
+  for (std::size_t i = 0; i < n; ++i) {
+    TimePs overlapped = 0;
+    if (i + 1 < n) overlapped += mine[i + 1].get;
+    if (i > 0) overlapped += mine[i - 1].put;
+    busy += std::max(mine[i].compute, overlapped);
+  }
+  return busy;
+}
+
+/// Injected DMA errors on this CPE's tiles. A failed athread_get is
+/// detected by the CPE and re-issued: one more get under synchronous DMA
+/// (time and traffic), one exposed re-transfer that stalls the pipeline
+/// under double buffering (time only). Each draw is a pure hash of the
+/// offload and the tile and each retry an integer add, so the charge is
+/// CPE-local and order-free. The numerics are untouched: the retry
+/// rereads the same main-memory bytes.
+void charge_dma_errors(const TileExecArgs& args, const grid::Tiling& tiling,
+                       const std::vector<int>& mine, athread::CpeContext& ctx) {
+  const TileFaultProbe& probe = args.fault;
+  hw::PerfCounters retried;
+  for (int t : mine) {
+    if (!probe.plan->dma_error(probe.incarnation, probe.rank, probe.step,
+                               probe.task, t))
+      continue;
+    const std::uint64_t bytes = bytes_of(static_cast<std::uint64_t>(
+        tiling.tile(t).grown(args.kernel->ghost).volume()));
+    ctx.charge(ctx.dma_cost(bytes, !args.packed_tiles));
+    if (!args.async_dma) retried.dma_bytes_in += bytes;
+    retried.fault_injected += 1;
+    retried.fault_retries += 1;
+  }
+  ctx.count(retried);
+}
+
+/// The tile loop's numerics: stage each tile into LDM buffers, run the
+/// kernel there, stage the result out. The DMA mode changes when time is
+/// charged, not what is computed, so one loop serves both modes.
+void run_numerics(const TileExecArgs& args, const grid::Tiling& tiling,
+                  const std::vector<int>& mine, hw::Ldm& ldm) {
   const kern::KernelVariants& kernel = *args.kernel;
-  const hw::KernelCost base = kernel.cost.scaled(args.cost_scale);
-  const bool strided = !args.packed_tiles;
   for (int t : mine) {
     const grid::Box tile = tiling.tile(t);
     const grid::Box ghosted = tile.grown(kernel.ghost);
-    const hw::KernelCost cost = tile_kernel_cost(kernel, base, tile);
-    ctx.charge(ctx.cost().cpe_tile_overhead());
-    ctx.ldm().reset();
-    auto in_buf = ctx.ldm().alloc<double>(static_cast<std::size_t>(ghosted.volume()));
-    auto out_buf = ctx.ldm().alloc<double>(static_cast<std::size_t>(tile.volume()));
-    if (functional)
-      run_tile_functional(args, tile, ghosted,
-                          kern::FieldView(in_buf.data(), ghosted),
-                          kern::FieldView(out_buf.data(), tile));
-    ctx.get(nullptr, nullptr,
-            static_cast<std::size_t>(ghosted.volume()) * sizeof(double), strided);
-    if (tile_dma_error(args, t)) {
-      ctx.get(nullptr, nullptr,
-              static_cast<std::size_t>(ghosted.volume()) * sizeof(double),
-              strided);
-      ctx.count_fault_injected();
-      ctx.count_fault_retry();
-    }
-    ctx.compute(static_cast<std::uint64_t>(tile.volume()), cost,
-                args.vectorize, kernel.use_ieee_exp);
-    ctx.put(nullptr, nullptr,
-            static_cast<std::size_t>(tile.volume()) * sizeof(double), strided);
-    ctx.count_tile();
+    ldm.reset();
+    const kern::FieldView in(
+        ldm.alloc<double>(static_cast<std::size_t>(ghosted.volume())).data(),
+        ghosted);
+    const kern::FieldView out(
+        ldm.alloc<double>(static_cast<std::size_t>(tile.volume())).data(),
+        tile);
+    copy_region(args.in, in, ghosted);
+    kernel.variant(args.vectorize)(args.env, in, out, tile);
+    copy_region(out, args.out, tile);
   }
-}
-
-/// Double-buffered pipeline (future work, Sec IX): tile i's compute
-/// overlaps tile i+1's get and tile i-1's put. Requires two in/out buffer
-/// pairs in the LDM, which the allocation below genuinely enforces.
-void run_double_buffered(const TileExecArgs& args, athread::CpeContext& ctx,
-                         const grid::Tiling& tiling, const std::vector<int>& mine,
-                         bool functional) {
-  const kern::KernelVariants& kernel = *args.kernel;
-  const hw::KernelCost base = kernel.cost.scaled(args.cost_scale);
-  const bool strided = !args.packed_tiles;
-
-  // Buffers sized for the largest assigned tile, two of each.
-  std::size_t max_ghosted = 0, max_interior = 0;
-  for (int t : mine) {
-    const grid::Box tile = tiling.tile(t);
-    max_ghosted = std::max(
-        max_ghosted, static_cast<std::size_t>(tile.grown(kernel.ghost).volume()));
-    max_interior = std::max(max_interior, static_cast<std::size_t>(tile.volume()));
-  }
-  ctx.ldm().reset();
-  std::span<double> in_buf[2] = {ctx.ldm().alloc<double>(max_ghosted),
-                                 ctx.ldm().alloc<double>(max_ghosted)};
-  std::span<double> out_buf[2] = {ctx.ldm().alloc<double>(max_interior),
-                                  ctx.ldm().alloc<double>(max_interior)};
-
-  const int n = static_cast<int>(mine.size());
-  auto in_bytes = [&](int i) {
-    return static_cast<std::size_t>(
-               tiling.tile(mine[static_cast<std::size_t>(i)]).grown(kernel.ghost).volume()) *
-           sizeof(double);
-  };
-  auto out_bytes = [&](int i) {
-    return static_cast<std::size_t>(
-               tiling.tile(mine[static_cast<std::size_t>(i)]).volume()) *
-           sizeof(double);
-  };
-
-  for (int i = 0; i < n; ++i) {
-    const grid::Box tile = tiling.tile(mine[static_cast<std::size_t>(i)]);
-    const grid::Box ghosted = tile.grown(kernel.ghost);
-    const hw::KernelCost cost = tile_kernel_cost(kernel, base, tile);
-    if (functional)
-      run_tile_functional(args, tile, ghosted,
-                          kern::FieldView(in_buf[i % 2].data(), ghosted),
-                          kern::FieldView(out_buf[i % 2].data(), tile));
-    ctx.count_dma(in_bytes(i), out_bytes(i));
-    ctx.count_compute(static_cast<std::uint64_t>(tile.volume()), cost);
-    ctx.count_tile();
-    // A failed get stalls the pipeline for one exposed re-transfer before
-    // this tile's stage can start.
-    if (tile_dma_error(args, mine[static_cast<std::size_t>(i)])) {
-      ctx.charge(ctx.dma_cost(in_bytes(i), strided));
-      ctx.count_fault_injected();
-      ctx.count_fault_retry();
-    }
-
-    // Timing: prologue get for tile 0 is exposed; afterwards each stage
-    // takes max(compute_i, get_{i+1} + put_{i-1}); the last put is exposed.
-    if (i == 0) ctx.charge(ctx.dma_cost(in_bytes(0), strided));
-    TimePs overlapped_dma = 0;
-    if (i + 1 < n) overlapped_dma += ctx.dma_cost(in_bytes(i + 1), strided);
-    if (i > 0) overlapped_dma += ctx.dma_cost(out_bytes(i - 1), strided);
-    const TimePs compute =
-        ctx.cost().cpe_tile_overhead() +
-        ctx.compute_cost(static_cast<std::uint64_t>(tile.volume()), cost,
-                         args.vectorize, kernel.use_ieee_exp);
-    ctx.charge(std::max(compute, overlapped_dma));
-  }
-  if (n > 0) ctx.charge(ctx.dma_cost(out_bytes(n - 1), strided));
 }
 
 }  // namespace
 
-TileAssignment plan_tile_assignment(const TileExecArgs& args,
-                                    const grid::Tiling& tiling, int n_cpes,
-                                    int cluster_cpes, const hw::CostModel& cost,
-                                    schedpt::ScheduleController* schedule,
-                                    int rank) {
+TilePlan plan_tile_assignment(const TileExecArgs& args,
+                              const grid::Tiling& tiling, int n_cpes,
+                              int cluster_cpes, const hw::CostModel& cost,
+                              schedpt::ScheduleController* schedule, int rank) {
   USW_ASSERT(args.kernel != nullptr);
   const kern::KernelVariants& kernel = *args.kernel;
   const hw::KernelCost base = kernel.cost.scaled(args.cost_scale);
   const bool strided = !args.packed_tiles;
-  // The synchronous end-to-end price of one tile — the exact sum run_sync
-  // charges, so under sync DMA the planned clocks equal the executed busy
-  // times. The double-buffered executor overlaps the DMA terms; planning
-  // with the sync estimate keeps the assignment identical across both DMA
-  // modes (it is what the shared counter would see on the hardware, where
-  // the grab happens before the pipeline hides anything).
-  const TileCostFn tile_cost = [&](int t) {
+  auto charge = [&](int t, bool priced) {
     const grid::Box tile = tiling.tile(t);
-    const grid::Box ghosted = tile.grown(kernel.ghost);
     const hw::KernelCost kc = tile_kernel_cost(kernel, base, tile);
-    return cost.cpe_tile_overhead() +
-           cost.cpe_dma(static_cast<std::uint64_t>(ghosted.volume()) * sizeof(double),
-                        cluster_cpes, strided) +
-           cost.cpe_compute(static_cast<std::uint64_t>(tile.volume()), kc,
-                            args.vectorize, kernel.use_ieee_exp) +
-           cost.cpe_dma(static_cast<std::uint64_t>(tile.volume()) * sizeof(double),
-                        cluster_cpes, strided);
+    TileCharge c;
+    c.ghosted = static_cast<std::uint64_t>(tile.grown(kernel.ghost).volume());
+    c.interior = static_cast<std::uint64_t>(tile.volume());
+    c.flops = static_cast<double>(c.interior) * kc.counted_flops_per_cell();
+    if (priced) {
+      c.get = cost.cpe_dma(bytes_of(c.ghosted), cluster_cpes, strided);
+      c.compute = cost.cpe_tile_overhead() +
+                  cost.cpe_compute(c.interior, kc, args.vectorize,
+                                   kernel.use_ieee_exp);
+      c.put = cost.cpe_dma(bytes_of(c.interior), cluster_cpes, strided);
+    }
+    return c;
   };
-  return assign_tiles(tiling, n_cpes, args.policy, tile_cost, cost.cpe_faaw(),
-                      schedule, rank);
+  // The assignment is planned with the synchronous end-to-end price of a
+  // tile under both DMA modes: it is what the shared counter would see on
+  // the hardware, where the grab happens before the pipeline hides any
+  // transfer, and it keeps the assignment identical across the modes.
+  TilePlan plan;
+  plan.assignment = assign_tiles(
+      tiling, n_cpes, args.policy,
+      [&](int t) {
+        const TileCharge c = charge(t, true);
+        return c.get + c.compute + c.put;
+      },
+      cost.cpe_faaw(), schedule, rank);
+  const auto n = static_cast<std::size_t>(n_cpes);
+  plan.busy.resize(n);
+  plan.flops.resize(n);
+  hw::Ldm ldm(cost.params().ldm_bytes);  // reserve() only: never allocated
+  std::vector<TileCharge> mine;
+  for (std::size_t cpe = 0; cpe < n; ++cpe) {
+    mine.clear();
+    for (int t : plan.assignment.tiles_per_cpe[cpe])
+      mine.push_back(charge(t, args.async_dma));
+    check_ldm(ldm, mine, args.async_dma);
+    // Synchronous DMA exposes every transfer (the paper's implementation:
+    // it "does not make use of the fact that the memory-LDM transfer can
+    // be asynchronous"), so a CPE's busy time is the estimate its tiles
+    // were assigned with.
+    const auto grabs = static_cast<TimePs>(plan.assignment.grabs_per_cpe[cpe]);
+    plan.busy[cpe] = args.async_dma
+                         ? grabs * cost.cpe_faaw() + double_buffered_busy(mine)
+                         : plan.assignment.est_busy[cpe];
+    double flops = 0.0;
+    for (const TileCharge& tile : mine) {
+      flops += tile.flops;
+      plan.cells += tile.interior;
+      plan.dma_bytes_in += bytes_of(tile.ghosted);
+      plan.dma_bytes_out += bytes_of(tile.interior);
+    }
+    plan.flops[cpe] = flops;
+    plan.tiles += mine.size();
+  }
+  return plan;
 }
 
 std::vector<std::pair<int, grid::Box>> tile_writes(const grid::Tiling& tiling,
@@ -207,50 +215,36 @@ std::vector<std::pair<int, grid::Box>> tile_writes(const grid::Tiling& tiling,
 }
 
 athread::CpeJob make_tile_job(TileExecArgs args,
-                              std::shared_ptr<const TileAssignment> plan) {
+                              std::shared_ptr<const TilePlan> plan) {
   USW_ASSERT(args.kernel != nullptr);
-  // Fallback for callers that did not plan (direct make_tile_job users):
-  // the first CPE body to enter computes the plan once and the rest reuse
-  // it — call_once makes that safe under the threads backend, and the plan
-  // is a pure function so every backend computes the same one.
-  struct LazyPlan {
-    std::once_flag once;
-    TileAssignment plan;
-  };
-  std::shared_ptr<LazyPlan> lazy;
-  if (plan == nullptr && args.policy != TilePolicy::kStaticZ)
-    lazy = std::make_shared<LazyPlan>();
-  return [args, plan = std::move(plan), lazy](athread::CpeContext& ctx) {
+  USW_ASSERT(plan != nullptr);
+  return [args, plan = std::move(plan)](athread::CpeContext& ctx) {
+    USW_ASSERT_MSG(plan->n_cpes() == ctx.n_cpes(),
+                   "tile plan sized for a different CPE group");
+    const auto cpe = static_cast<std::size_t>(ctx.cpe_id());
+    const std::vector<int>& mine = plan->assignment.tiles_per_cpe[cpe];
+    const int grabs = plan->assignment.grabs_per_cpe[cpe];
+    // The integer counters are whole-offload sums, so they ride in CPE 0's
+    // slot; the flop sum stays per CPE for the ordered fold. Any other CPE
+    // without tiles or grabs (a static partition's spare CPEs) has nothing
+    // to charge or count.
+    if (cpe != 0 && mine.empty() && grabs == 0) return;
+    hw::PerfCounters planned;
+    planned.counted_flops = plan->flops[cpe];
+    planned.tile_grabs = static_cast<std::uint64_t>(grabs);
+    if (cpe == 0) {
+      planned.tiles_executed = plan->tiles;
+      planned.cells_computed = plan->cells;
+      planned.dma_bytes_in = plan->dma_bytes_in;
+      planned.dma_bytes_out = plan->dma_bytes_out;
+    }
+    ctx.charge(plan->busy[cpe]);
+    ctx.count(planned);
+    if (mine.empty()) return;
     const grid::Tiling tiling(args.patch_cells, args.kernel->tile_shape);
-    const bool functional = args.in.valid() && args.out.valid();
-    const TileAssignment* assignment = plan.get();
-    if (assignment == nullptr && lazy != nullptr) {
-      std::call_once(lazy->once, [&] {
-        lazy->plan = plan_tile_assignment(args, tiling, ctx.n_cpes(),
-                                          ctx.cluster_cpes(), ctx.cost());
-      });
-      assignment = &lazy->plan;
-    }
-    std::vector<int> static_mine;
-    const std::vector<int>* mine = &static_mine;
-    int grabs = 0;
-    if (assignment != nullptr) {
-      USW_ASSERT_MSG(assignment->n_cpes() == ctx.n_cpes(),
-                     "tile plan sized for a different CPE group");
-      const auto cpe = static_cast<std::size_t>(ctx.cpe_id());
-      mine = &assignment->tiles_per_cpe[cpe];
-      grabs = assignment->grabs_per_cpe[cpe];
-    } else {
-      static_mine = tiling.tiles_for_cpe(ctx.cpe_id(), ctx.n_cpes());
-    }
-    // Self-scheduling arbitration is paid whether or not this CPE won any
-    // tiles (the losing faaw is what ends its loop).
-    if (grabs > 0) ctx.grab(grabs);
-    if (mine->empty()) return;
-    if (args.async_dma)
-      run_double_buffered(args, ctx, tiling, *mine, functional);
-    else
-      run_sync(args, ctx, tiling, *mine, functional);
+    if (args.fault.plan != nullptr) charge_dma_errors(args, tiling, mine, ctx);
+    if (args.in.valid() && args.out.valid())
+      run_numerics(args, tiling, mine, ctx.ldm());
   };
 }
 

@@ -2,14 +2,23 @@
 
 // The CPE tile scheduler (Sec V-D).
 //
-// Builds the athread job that executes one stencil kernel over one patch on
-// a CPE group: each CPE computes its assigned tiles — statically
-// z-partitioned (Sec V-D step 1) or self-scheduled off a shared atomic
-// counter (TilePolicy) — and for each tile performs
+// On the hardware each CPE runs the paper's tile loop over its assigned
+// tiles — statically z-partitioned (Sec V-D step 1) or self-scheduled off
+// a shared atomic counter (TilePolicy):
 //   athread_get (ghosted tile -> LDM) -> kernel on LDM -> athread_put,
-// finishing with the faaw increment modeled inside CpeCluster. LDM
-// capacity is genuinely enforced: staging buffers are allocated from the
-// 64 KB Ldm model and overflow throws ResourceError.
+// finishing with the faaw increment modeled inside CpeCluster.
+//
+// The simulator prices that loop once, on the MPE, when it plans the
+// offload: plan_tile_assignment assigns the tiles, then walks each CPE's
+// tiles in execution order and records the CPE's busy time (grabs, DMA,
+// compute and tile overhead, under the offload's DMA mode), its counted
+// flops, and the offload's tile/cell/DMA totals. It also checks the
+// staging buffers against the 64 KB LDM with hw::Ldm's own bump
+// arithmetic, so an oversized tile throws ResourceError before spawn.
+// The scheduler caches the plan per task, so a step's offload costs the
+// CPE bodies O(1) each: a body charges its planned busy time and counters
+// and, on functional storage only, runs the numerics (stage in, kernel,
+// stage out) through real LDM buffers. Timing-only bodies touch no tile.
 //
 // Two of the paper's future-work optimizations (Sec IX) are available:
 //   * async_dma  - double-buffered tiles: the next tile's athread_get and
@@ -19,6 +28,7 @@
 //   * packed_tiles - tiles are stored contiguously in main memory, so DMA
 //     runs at the packed (higher) efficiency instead of the strided one.
 
+#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -35,7 +45,8 @@ namespace usw::sched {
 /// Identity of an offload for deterministic DMA-error injection. The plan
 /// is consulted per tile with a pure hash, so the serial and threads
 /// backends (and any tile policy) see the same errors. Inactive when
-/// `plan` is null.
+/// `plan` is null; the scheduler sets it only for plans with a dma_error
+/// rule, so other fault kinds cost no per-tile hash.
 struct TileFaultProbe {
   const fault::FaultPlan* plan = nullptr;
   std::uint64_t incarnation = 0;
@@ -60,28 +71,47 @@ struct TileExecArgs {
   TileFaultProbe fault;      ///< deterministic DMA-error injection
 };
 
-/// Plans the tile->CPE assignment the job will execute: args.policy applied
-/// to the patch's tiling with the synchronous per-tile cost estimate
-/// (tile overhead + get + compute + put, per-tile cost scale included) and
-/// the faaw grab cost. `n_cpes` is the offload's group size and
-/// `cluster_cpes` the whole cluster's CPE count (DMA contention).
-/// Deterministic: a pure function of its arguments. `schedule`/`rank`
-/// feed the kTileGrab schedule point (see assign_tiles); the lazy planning
-/// path inside make_tile_job always plans canonically — CPE worker threads
-/// must never consult the controller.
-TileAssignment plan_tile_assignment(const TileExecArgs& args,
-                                    const grid::Tiling& tiling, int n_cpes,
-                                    int cluster_cpes, const hw::CostModel& cost,
-                                    schedpt::ScheduleController* schedule = nullptr,
-                                    int rank = 0);
+/// One offload's plan: the tile->CPE assignment and everything its CPE
+/// bodies charge. Per CPE it keeps only the busy time and the flop sum
+/// (a double, so each CPE keeps its own tile-by-tile sum and the CPE-id
+/// ordered fold stays bit-identical); the integer counters are order-free
+/// sums and are kept once per offload.
+struct TilePlan {
+  TileAssignment assignment;
+  /// Per CPE: charged busy time under the offload's DMA mode, grabs
+  /// included. Equals assignment.est_busy under synchronous DMA.
+  std::vector<TimePs> busy;
+  /// Per CPE: counted flops, summed tile by tile in execution order.
+  std::vector<double> flops;
+  std::uint64_t tiles = 0;
+  std::uint64_t cells = 0;
+  std::uint64_t dma_bytes_in = 0;
+  std::uint64_t dma_bytes_out = 0;
 
-/// Job for CpeCluster::spawn. Copies `args` by value; the views must stay
-/// valid until the offload completes. `plan` is the assignment from
-/// plan_tile_assignment (shared so the scheduler plans once per task);
-/// when null, the job plans lazily on first CPE entry — callers that also
-/// feed the checker or telemetry should plan explicitly and pass it in.
+  int n_cpes() const { return assignment.n_cpes(); }
+};
+
+/// Plans one offload: args.policy applied to the patch's tiling with the
+/// synchronous per-tile cost estimate (tile overhead + get + compute + put,
+/// per-tile cost scale included) and the faaw grab cost, then the charge
+/// walk described above. `n_cpes` is the offload's group size and
+/// `cluster_cpes` the whole cluster's CPE count (DMA contention). Throws
+/// ResourceError if a CPE's staging buffers overflow the LDM.
+/// Deterministic: a pure function of its arguments. `schedule`/`rank`
+/// feed the kTileGrab schedule point (see assign_tiles).
+TilePlan plan_tile_assignment(const TileExecArgs& args,
+                              const grid::Tiling& tiling, int n_cpes,
+                              int cluster_cpes, const hw::CostModel& cost,
+                              schedpt::ScheduleController* schedule = nullptr,
+                              int rank = 0);
+
+/// Job for CpeCluster::spawn that executes `plan` (from
+/// plan_tile_assignment with the same `args`). Copies `args` by value; the
+/// views must stay valid until the offload completes. Injected DMA errors
+/// (args.fault) are drawn per offload and add their re-issue on top of the
+/// planned charge.
 athread::CpeJob make_tile_job(TileExecArgs args,
-                              std::shared_ptr<const TileAssignment> plan = nullptr);
+                              std::shared_ptr<const TilePlan> plan);
 
 /// The per-CPE write-sets — (cpe id, tile interior box) pairs — of the
 /// assignment actually executed, in execution order. Feeds the access

@@ -46,9 +46,9 @@ const char* to_string(TilePolicy policy);
 TilePolicy tile_policy_from_string(const std::string& name);
 
 /// The executed tile->CPE assignment of one offload, plus the planner's
-/// virtual-time bookkeeping. Produced once per offload and shared by the
-/// executor (which tiles each CPE runs), the access checker (the write-set
-/// partition), and the imbalance telemetry.
+/// virtual-time bookkeeping. Planned once per detailed task (inside a
+/// sched::TilePlan) and shared by the executor (which tiles each CPE
+/// runs), the access checker (the write-set partition), and the metrics.
 struct TileAssignment {
   TilePolicy policy = TilePolicy::kStaticZ;
   /// Tile indices per CPE, in execution order.
@@ -57,9 +57,9 @@ struct TileAssignment {
   /// final grab that finds the counter exhausted. Zero under kStaticZ.
   std::vector<int> grabs_per_cpe;
   /// Each CPE's accumulated virtual clock under the planner's cost
-  /// estimate. For the synchronous DMA path this equals the busy time the
-  /// executor charges; the double-buffered path overlaps DMA and runs
-  /// below it.
+  /// estimate. Under synchronous DMA this equals the busy time the CPE is
+  /// charged (sched::TilePlan::busy); the double-buffered charge overlaps
+  /// DMA and runs below it.
   std::vector<TimePs> est_busy;
 
   int n_cpes() const { return static_cast<int>(tiles_per_cpe.size()); }

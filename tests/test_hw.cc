@@ -190,6 +190,18 @@ TEST(Ldm, AlignsTo32Bytes) {
   }
 }
 
+TEST(Ldm, FirstAllocationAfterConstructionIsAlignedAndCounted) {
+  // Storage is allocated lazily, on the first alloc(): that allocation
+  // must still sit on a 32-byte boundary and be booked like any other.
+  Ldm ldm(64 * 1024);
+  EXPECT_EQ(ldm.used(), 0u);
+  auto first = ldm.alloc<double>(3);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(first.data()) % 32, 0u);
+  EXPECT_EQ(ldm.used(), 3 * sizeof(double));
+  first[2] = 4.0;
+  EXPECT_DOUBLE_EQ(first[2], 4.0);
+}
+
 TEST(Ldm, ExactFit) {
   Ldm ldm(64 * 1024);
   EXPECT_NO_THROW(ldm.alloc<double>(8192));  // exactly 64 KB

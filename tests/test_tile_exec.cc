@@ -1,9 +1,16 @@
 // Tests for the CPE tile executor: functional equivalence with a direct
-// kernel application, LDM capacity enforcement, DMA/tile accounting, and
-// timing-only behavior. Also failure-injection tests: errors thrown inside
+// kernel application, LDM capacity enforcement, DMA/tile accounting,
+// timing-only behavior, and a differential oracle that checks the planned
+// charge against the per-tile walk it replaced. Also failure-injection tests: errors thrown inside
 // rank bodies must cancel the whole simulation cleanly.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <bit>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "apps/burgers/burgers_app.h"
 #include "apps/burgers/kernels.h"
@@ -25,6 +32,17 @@ kern::KernelEnv test_env() {
   return env;
 }
 
+/// Plans `args` for `cluster` the way the scheduler does and returns the
+/// job that executes the plan.
+athread::CpeJob planned_job(const TileExecArgs& args,
+                            const athread::CpeCluster& cluster,
+                            const hw::CostModel& cost) {
+  const grid::Tiling tiling(args.patch_cells, args.kernel->tile_shape);
+  return make_tile_job(
+      args, std::make_shared<const TilePlan>(plan_tile_assignment(
+                args, tiling, cluster.group_size(), cluster.n_cpes(), cost)));
+}
+
 TEST(TileExec, MatchesDirectKernelApplication) {
   const grid::Box patch{{0, 0, 0}, {32, 32, 24}};
   var::CCVariable<double> u0(patch.grown(1)), direct(patch), tiled(patch);
@@ -44,7 +62,7 @@ TEST(TileExec, MatchesDirectKernelApplication) {
     args.in = kern::FieldView::of(u0);
     args.out = kern::FieldView::of(tiled);
     args.patch_cells = patch;
-    cluster.spawn(make_tile_job(args));
+    cluster.spawn(planned_job(args, cluster, cost));
     cluster.join();
   });
 
@@ -72,7 +90,7 @@ TEST(TileExec, SimdTilingAlsoMatchesDirect) {
     args.out = kern::FieldView::of(tiled);
     args.patch_cells = patch;
     args.vectorize = true;
-    cluster.spawn(make_tile_job(args));
+    cluster.spawn(planned_job(args, cluster, cost));
     cluster.join();
   });
   for (std::size_t i = 0; i < direct.data().size(); ++i)
@@ -93,7 +111,7 @@ TEST(TileExec, CountsTilesAndDmaTraffic) {
     args.in = kern::FieldView::of(u0);
     args.out = kern::FieldView::of(out);
     args.patch_cells = patch;
-    cluster.spawn(make_tile_job(args));
+    cluster.spawn(planned_job(args, cluster, cost));
     cluster.join();
   });
   EXPECT_EQ(counters.tiles_executed, 8u);
@@ -119,7 +137,7 @@ TEST(TileExec, TimingOnlyChargesWithoutData) {
     args.env = test_env();
     args.patch_cells = patch;  // views left invalid: timing-only
     const TimePs before = coord.now(rank);
-    cluster.spawn(make_tile_job(args));
+    cluster.spawn(planned_job(args, cluster, cost));
     cluster.join();
     elapsed = coord.now(rank) - before;
   });
@@ -158,7 +176,7 @@ TEST(TileExec, DoubleBufferedSingleTileMatchesDirect) {
     args.patch_cells = patch;
     args.async_dma = true;
     const TimePs before = coord.now(rank);
-    cluster.spawn(make_tile_job(args));
+    cluster.spawn(planned_job(args, cluster, cost));
     cluster.join();
     elapsed = coord.now(rank) - before;
   });
@@ -195,7 +213,7 @@ TEST(TileExec, DoubleBufferedHeterogeneousTilesMatchDirect) {
     args.out = kern::FieldView::of(tiled);
     args.patch_cells = patch;
     args.async_dma = true;
-    cluster.spawn(make_tile_job(args));
+    cluster.spawn(planned_job(args, cluster, cost));
     cluster.join();
   });
   for (std::size_t i = 0; i < direct.data().size(); ++i)
@@ -230,7 +248,7 @@ TEST(TileExec, DoubleBufferedDynamicWithEmptyCpesMatchesDirect) {
     args.patch_cells = patch;
     args.async_dma = true;
     args.policy = TilePolicy::kDynamic;
-    cluster.spawn(make_tile_job(args));
+    cluster.spawn(planned_job(args, cluster, cost));
     cluster.join();
   });
   for (std::size_t i = 0; i < direct.data().size(); ++i)
@@ -253,10 +271,240 @@ TEST(TileExec, OversizedTileOverflowsLdm) {
                        args.kernel = &kv;
                        args.env = test_env();
                        args.patch_cells = patch;
-                       cluster.spawn(make_tile_job(args));
+                       cluster.spawn(planned_job(args, cluster, cost));
                        cluster.join();
                      }),
       ResourceError);
+}
+
+// ---------------------------------------------------------------------------
+// Differential oracle: the per-tile charge walk the plan replaced, kept here
+// as the reference. Each CPE stages every tile through its LDM and charges
+// the paper's loop tile by tile: get, kernel, put under synchronous DMA; the
+// double-buffered pipeline otherwise; injected DMA errors re-issued as they
+// are drawn. The plan-charged offload must match it exactly.
+
+athread::CpeJob reference_job(TileExecArgs args,
+                              std::shared_ptr<const TileAssignment> assignment) {
+  return [args, assignment](athread::CpeContext& ctx) {
+    const kern::KernelVariants& kernel = *args.kernel;
+    const grid::Tiling tiling(args.patch_cells, kernel.tile_shape);
+    const auto cpe = static_cast<std::size_t>(ctx.cpe_id());
+    const std::vector<int>& mine = assignment->tiles_per_cpe[cpe];
+    const int grabs = assignment->grabs_per_cpe[cpe];
+    hw::PerfCounters counted;
+    ctx.charge(static_cast<TimePs>(grabs) * ctx.cost().cpe_faaw());
+    counted.tile_grabs = static_cast<std::uint64_t>(grabs);
+    const hw::KernelCost base = kernel.cost.scaled(args.cost_scale);
+    const bool strided = !args.packed_tiles;
+    auto tile_cost = [&](const grid::Box& tile) {
+      return kernel.tile_cost_scale ? base.scaled(kernel.scale_for_tile(tile))
+                                    : base;
+    };
+    auto dma_error = [&](int t) {
+      return args.fault.plan != nullptr &&
+             args.fault.plan->dma_error(args.fault.incarnation, args.fault.rank,
+                                        args.fault.step, args.fault.task, t);
+    };
+    auto in_bytes = [&](int t) {
+      return static_cast<std::size_t>(
+                 tiling.tile(t).grown(kernel.ghost).volume()) *
+             sizeof(double);
+    };
+    auto out_bytes = [&](int t) {
+      return static_cast<std::size_t>(tiling.tile(t).volume()) * sizeof(double);
+    };
+    if (!args.async_dma) {
+      for (int t : mine) {
+        const grid::Box tile = tiling.tile(t);
+        ctx.charge(ctx.cost().cpe_tile_overhead());
+        ctx.ldm().reset();
+        (void)ctx.ldm().alloc<double>(in_bytes(t) / sizeof(double));
+        (void)ctx.ldm().alloc<double>(out_bytes(t) / sizeof(double));
+        ctx.get(nullptr, nullptr, in_bytes(t), strided);
+        if (dma_error(t)) {
+          ctx.get(nullptr, nullptr, in_bytes(t), strided);
+          counted.fault_injected += 1;
+          counted.fault_retries += 1;
+        }
+        ctx.compute(static_cast<std::uint64_t>(tile.volume()), tile_cost(tile),
+                    args.vectorize, kernel.use_ieee_exp);
+        ctx.put(nullptr, nullptr, out_bytes(t), strided);
+        counted.tiles_executed += 1;
+      }
+    } else if (!mine.empty()) {
+      std::size_t max_in = 0, max_out = 0;
+      for (int t : mine) {
+        max_in = std::max(max_in, in_bytes(t) / sizeof(double));
+        max_out = std::max(max_out, out_bytes(t) / sizeof(double));
+      }
+      ctx.ldm().reset();
+      for (std::size_t count : {max_in, max_in, max_out, max_out})
+        (void)ctx.ldm().alloc<double>(count);
+      const std::size_t n = mine.size();
+      for (std::size_t i = 0; i < n; ++i) {
+        const int t = mine[i];
+        const grid::Box tile = tiling.tile(t);
+        counted.dma_bytes_in += in_bytes(t);
+        counted.dma_bytes_out += out_bytes(t);
+        counted.count_kernel_cells(static_cast<std::uint64_t>(tile.volume()),
+                                   tile_cost(tile));
+        counted.tiles_executed += 1;
+        if (dma_error(t)) {
+          ctx.charge(ctx.dma_cost(in_bytes(t), strided));
+          counted.fault_injected += 1;
+          counted.fault_retries += 1;
+        }
+        if (i == 0) ctx.charge(ctx.dma_cost(in_bytes(t), strided));
+        TimePs overlapped = 0;
+        if (i + 1 < n) overlapped += ctx.dma_cost(in_bytes(mine[i + 1]), strided);
+        if (i > 0) overlapped += ctx.dma_cost(out_bytes(mine[i - 1]), strided);
+        const TimePs compute =
+            ctx.cost().cpe_tile_overhead() +
+            ctx.cost().cpe_compute(static_cast<std::uint64_t>(tile.volume()),
+                                   tile_cost(tile), args.vectorize,
+                                   kernel.use_ieee_exp);
+        ctx.charge(std::max(compute, overlapped));
+      }
+      ctx.charge(ctx.dma_cost(out_bytes(mine.back()), strided));
+    }
+    ctx.count(counted);
+  };
+}
+
+/// One offload's per-CPE busy times and merged counters.
+struct Charged {
+  std::vector<TimePs> busy;
+  hw::PerfCounters counters;
+};
+
+Charged run_offload(const hw::CostModel& cost, athread::Backend backend,
+                    athread::WorkerPool* pool, const athread::CpeJob& job) {
+  Charged charged;
+  sim::run_ranks(1, [&](sim::Coordinator& coord, int rank) {
+    athread::CpeCluster cluster(cost, coord, rank, &charged.counters, 1,
+                                backend, pool);
+    cluster.spawn(job);
+    charged.busy = cluster.cpe_busy();
+    cluster.join();
+  });
+  return charged;
+}
+
+TEST(TileExec, PlanChargeMatchesPerTileWalk) {
+  const hw::CostModel cost(machine());
+  const fault::FaultPlan faults = fault::FaultPlan::parse("dma_error:p=0.05", 5);
+  athread::WorkerPool pool(2);
+  // A whole patch, and one offset so every axis ends in a clipped tile.
+  const grid::Box patches[] = {{{0, 0, 0}, {32, 32, 32}},
+                               {{-3, 5, 17}, {37, 26, 50}}};
+  int cases = 0;
+  for (const TilePolicy policy : {TilePolicy::kStaticZ, TilePolicy::kDynamic,
+                                  TilePolicy::kGuided})
+    for (const bool async_dma : {false, true})
+      for (const bool packed : {false, true})
+        for (const bool hotspot : {false, true})
+          for (const grid::Box& patch : patches)
+            for (const bool inject : {false, true})
+              for (const athread::Backend backend :
+                   {athread::Backend::kSerial, athread::Backend::kThreads}) {
+                kern::KernelVariants kv =
+                    apps::burgers::make_burgers_kernel(false, {8, 8, 8});
+                if (hotspot)
+                  kv.tile_cost_scale = [](const grid::Box& tile) {
+                    return tile.lo.x < 8 && tile.lo.z < 32 ? 3.3 : 1.0;
+                  };
+                TileExecArgs args;
+                args.kernel = &kv;
+                args.patch_cells = patch;  // timing-only
+                args.vectorize = true;
+                args.async_dma = async_dma;
+                args.packed_tiles = packed;
+                // Inexact flop products make the flop sums order-sensitive.
+                args.cost_scale = 1.37;
+                args.policy = policy;
+                if (inject) args.fault = {&faults, 0, 0, 3, 7};
+                const grid::Tiling tiling(patch, kv.tile_shape);
+                const auto plan = std::make_shared<const TilePlan>(
+                    plan_tile_assignment(args, tiling, 64, 64, cost));
+                const Charged planned = run_offload(
+                    cost, backend, &pool, make_tile_job(args, plan));
+                const Charged walked = run_offload(
+                    cost, backend, &pool,
+                    reference_job(args, std::make_shared<const TileAssignment>(
+                                            plan->assignment)));
+                const std::string label =
+                    std::string(to_string(policy)) +
+                    (async_dma ? " async" : " sync") +
+                    (packed ? " packed" : " strided") +
+                    (hotspot ? " hotspot" : " uniform") +
+                    (patch.lo.x != 0 ? " clipped" : " full") +
+                    (inject ? " dma_error" : "") + " " + to_string(backend);
+                EXPECT_EQ(planned.busy, walked.busy) << label;
+                EXPECT_EQ(planned.counters, walked.counters) << label;
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                              planned.counters.counted_flops),
+                          std::bit_cast<std::uint64_t>(
+                              walked.counters.counted_flops))
+                    << label;
+                EXPECT_EQ(planned.counters.tiles_executed,
+                          static_cast<std::uint64_t>(tiling.num_tiles()))
+                    << label;
+                if (inject) {
+                  EXPECT_GT(walked.counters.fault_injected, 0u) << label;
+                }
+                ++cases;
+              }
+  EXPECT_EQ(cases, 192);
+}
+
+/// The ResourceError message of `fn`, or "" if it does not throw one.
+template <typename Fn>
+std::string resource_error(Fn&& fn) {
+  try {
+    fn();
+  } catch (const ResourceError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(TileExec, TimingOnlyLdmOverflowMatchesFunctional) {
+  // The plan checks the LDM once on the MPE; the message must be the one a
+  // CPE staging the tile through a real Ldm gets, on either storage mode
+  // and DMA mode.
+  const grid::Box patch{{0, 0, 0}, {32, 32, 32}};
+  var::CCVariable<double> u0(patch.grown(1)), out(patch);
+  kern::KernelVariants kv = apps::burgers::make_burgers_kernel(false);
+  kv.tile_shape = {16, 16, 16};  // 5832 + 4096 doubles: one pair fits nowhere
+  const hw::CostModel cost(machine());
+  const grid::Tiling tiling(patch, kv.tile_shape);
+  for (const bool async_dma : {false, true}) {
+    TileExecArgs timing;
+    timing.kernel = &kv;
+    timing.env = test_env();
+    timing.patch_cells = patch;
+    timing.async_dma = async_dma;
+    TileExecArgs functional = timing;
+    functional.in = kern::FieldView::of(u0);
+    functional.out = kern::FieldView::of(out);
+    const std::string walked = resource_error([&] {
+      run_offload(cost, athread::Backend::kSerial, nullptr,
+                  reference_job(functional,
+                                std::make_shared<const TileAssignment>(assign_tiles(
+                                    tiling, 64, TilePolicy::kStaticZ,
+                                    [](int) { return TimePs{1}; }, 0))));
+    });
+    ASSERT_NE(walked.find("LDM overflow"), std::string::npos) << walked;
+    EXPECT_EQ(resource_error([&] {
+                plan_tile_assignment(timing, tiling, 64, 64, cost);
+              }),
+              walked);
+    EXPECT_EQ(resource_error([&] {
+                plan_tile_assignment(functional, tiling, 64, 64, cost);
+              }),
+              walked);
+  }
 }
 
 TEST(FailureInjection, LdmOverflowSurfacesFromFullSimulation) {

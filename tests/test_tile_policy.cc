@@ -160,7 +160,7 @@ TEST(TilePolicy, PlannedClocksMatchSyncExecution) {
     args.patch_cells = patch;  // timing-only: views left invalid
     args.policy = policy;
     const grid::Tiling tiling(patch, kv.tile_shape);
-    const auto plan = std::make_shared<const TileAssignment>(
+    const auto plan = std::make_shared<const TilePlan>(
         plan_tile_assignment(args, tiling, 64, 64, cost));
     hw::PerfCounters counters;
     std::vector<TimePs> busy;
@@ -170,12 +170,13 @@ TEST(TilePolicy, PlannedClocksMatchSyncExecution) {
       busy = cluster.cpe_busy();
       cluster.join();
     });
-    ASSERT_EQ(busy.size(), plan->est_busy.size());
+    ASSERT_EQ(busy.size(), plan->assignment.est_busy.size());
     for (std::size_t cpe = 0; cpe < busy.size(); ++cpe)
-      EXPECT_EQ(busy[cpe], plan->est_busy[cpe])
+      EXPECT_EQ(busy[cpe], plan->assignment.est_busy[cpe])
           << to_string(policy) << " CPE " << cpe;
     const std::uint64_t grabs = std::accumulate(
-        plan->grabs_per_cpe.begin(), plan->grabs_per_cpe.end(), 0ull);
+        plan->assignment.grabs_per_cpe.begin(),
+        plan->assignment.grabs_per_cpe.end(), 0ull);
     EXPECT_EQ(counters.tile_grabs, grabs) << to_string(policy);
   }
 }
