@@ -118,21 +118,34 @@ void BM_LdmAllocReset(benchmark::State& state) {
 }
 BENCHMARK(BM_LdmAllocReset);
 
-void BM_CoordinatorHandoff(benchmark::State& state) {
-  // Cost of grant handoffs between two simulated ranks: the dominant
-  // host-side overhead of the discrete-event simulation. Each run_ranks
-  // performs ~200 gates (plus thread setup/teardown).
+void BM_GrantHandoff(benchmark::State& state) {
+  // Host cost of one grant handoff under the serial cap, the dominant
+  // host-side overhead of the discrete-event simulation: every rank
+  // advances one full window per gate, so each gate parks and hands the
+  // grant to the next rank of the window (window opens amortise over the
+  // ranks). Includes run_ranks setup; reported as time per_grant.
+  constexpr TimePs kWindow = 10;
+  constexpr int kGates = 100;
+  const int nranks = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    sim::run_ranks(2, [](sim::Coordinator& c, int r) {
-      for (int i = 0; i < 100; ++i) {
-        c.advance(r, 10);
-        c.gate(r);
-      }
-    });
+    sim::run_ranks(
+        nranks,
+        [](sim::Coordinator& c, int r) {
+          for (int i = 0; i < kGates; ++i) {
+            c.advance(r, kWindow);
+            c.gate(r);
+          }
+        },
+        nullptr, kWindow);
   }
-  state.SetItemsProcessed(state.iterations() * 200);
+  // One grant per rank to start, then one per gate.
+  const double grants =
+      static_cast<double>(state.iterations()) * nranks * (kGates + 1);
+  state.SetItemsProcessed(static_cast<std::int64_t>(grants));
+  state.counters["per_grant"] = benchmark::Counter(
+      grants, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
-BENCHMARK(BM_CoordinatorHandoff);
+BENCHMARK(BM_GrantHandoff)->Arg(2)->Arg(1024)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 void BM_OffloadPlan(benchmark::State& state) {
   // Host cost of planning one offload of the paper's 128x128x512 patch
@@ -172,17 +185,14 @@ void BM_OffloadCharge(benchmark::State& state) {
   const athread::CpeJob job = sched::make_tile_job(
       args, std::make_shared<const sched::TilePlan>(
                 sched::plan_tile_assignment(args, tiling, 64, 64, cost)));
-  sim::Coordinator coord(1);
-  coord.start(0);
-  {
-    athread::CpeCluster cluster(cost, coord, 0);
+  sim::run_ranks(1, [&](sim::Coordinator& coord, int rank) {
+    athread::CpeCluster cluster(cost, coord, rank);
     for (auto _ : state) {
       cluster.spawn(job);
       cluster.join();
-      benchmark::DoNotOptimize(coord.now(0));
+      benchmark::DoNotOptimize(coord.now(rank));
     }
-  }
-  coord.finish(0);
+  });
   state.SetItemsProcessed(state.iterations() * 4096);
 }
 BENCHMARK(BM_OffloadCharge);

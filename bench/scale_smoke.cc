@@ -1,6 +1,6 @@
 // Scale smoke: the windowed coordinator at a cap of one grant per core
 // (parallel) against a cap of one (serial) at 128/512/1024 simulated CGs
-// (one host thread per CG), with and without message aggregation
+// (each CG a fiber on the carrier threads), with and without message aggregation
 // (--comm-agg). Extends the Fig 5 / Table 5 experiment grid an order of
 // magnitude past the paper's 128-CG ceiling: a 2048-patch heat-free
 // Burgers problem, two patches per CG at the top of the sweep so

@@ -57,13 +57,13 @@
 // off and no message loss no deadline is ever armed, so the engine costs
 // nothing and changes no virtual time.
 //
-// Thread safety: the Network object is shared by all rank threads. Under
-// the parallel coordinator several granted ranks run concurrently, so its
-// one genuinely shared piece, the mailboxes, is synchronized directly:
-// each mailbox has its own mutex (senders push, the owner matches).
-// Everything else (request tables, link-free times, the message sequence
-// counter) is per-rank and only ever touched by its owning rank thread. A
-// Comm must only be used from the thread running its rank.
+// Thread safety: the Network object is shared by all ranks. Under the
+// parallel coordinator several granted ranks run concurrently on carrier
+// threads, so its one genuinely shared piece, the mailboxes, is
+// synchronized directly: each mailbox has its own mutex (senders push, the
+// owner matches). Everything else (request tables, link-free times, the
+// message sequence counter) is per-rank and only ever touched by its owning
+// rank. A Comm must only be used from its own rank's body.
 //
 // Message identity: a wire seq is drawn from the sending endpoint's own
 // counter, so (src, seq) is a pure function of the sender's program order

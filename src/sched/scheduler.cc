@@ -16,11 +16,21 @@
 namespace usw::sched {
 namespace {
 
+// The label helpers return builders: Trace::record calls them only when
+// the trace is recording, so a disabled trace builds no strings.
+
 /// Label shared by the posted/done events of one message, so the span
 /// builder pairs them and the viewers show which transfer was in flight.
-std::string comm_label(const task::ExtComm& c) {
-  return c.label->name() + " p" + std::to_string(c.from_patch) + "->p" +
-         std::to_string(c.to_patch);
+auto comm_label(const task::ExtComm& c) {
+  return [&c] {
+    return c.label->name() + " p" + std::to_string(c.from_patch) + "->p" +
+           std::to_string(c.to_patch);
+  };
+}
+
+/// Label of a detailed task's task/offload/kernel events.
+auto task_label(const task::DetailedTask& dt) {
+  return [&dt] { return dt.task->name() + " p" + std::to_string(dt.patch_id); };
 }
 
 }  // namespace
@@ -230,7 +240,7 @@ void Scheduler::mpe_part(task::TaskContext& ctx, int dt_index) {
   const task::DetailedTask& dt = graph_.tasks[static_cast<std::size_t>(dt_index)];
   ready_.erase(dt_index);
   trace_.record(comm_.now(), sim::EventKind::kTaskBegin,
-                dt.task->name() + " p" + std::to_string(dt.patch_id),
+                task_label(dt),
                 sim::EventIds{step_, dt_index, dt.patch_id, -1, -1, -1, 0});
   if (config_.checker != nullptr) config_.checker->begin_task(dt_index);
   const TimePs overhead = comm_.net().cost().mpe_task_overhead();
@@ -355,7 +365,7 @@ void Scheduler::offload_stencil(task::TaskContext& ctx, int dt_index, int group)
     for (const auto& [cpe, box] : tile_writes(tiling, plan->assignment))
       config_.metrics->sample("tile.cells", static_cast<double>(box.volume()));
   }
-  const std::string label = dt.task->name() + " p" + std::to_string(dt.patch_id);
+  const auto label = task_label(dt);
   const sim::EventIds ids{step_, dt_index, dt.patch_id, -1, -1, group, 0};
   trace_.record(comm_.now(), sim::EventKind::kOffloadBegin, label, ids);
   athread::CpeJob job = make_tile_job(args, plan);
@@ -367,10 +377,9 @@ void Scheduler::offload_stencil(task::TaskContext& ctx, int dt_index, int group)
       // (hash of stable ids), so both backends wrap identically; the
       // rounding below is a deterministic double->int conversion.
       counters_.fault_injected += 1;
-      trace_.record(comm_.now(), sim::EventKind::kFaultBegin,
-                    "cpe_stall " + label, ids);
-      trace_.record(comm_.now(), sim::EventKind::kFaultEnd,
-                    "cpe_stall " + label, ids);
+      const auto stall_label = [&] { return "cpe_stall " + label(); };
+      trace_.record(comm_.now(), sim::EventKind::kFaultBegin, stall_label, ids);
+      trace_.record(comm_.now(), sim::EventKind::kFaultEnd, stall_label, ids);
       job = [inner = std::move(job), s = *stall](athread::CpeContext& cpe) {
         inner(cpe);
         if (cpe.cpe_id() == s.cpe)
@@ -488,8 +497,7 @@ bool Scheduler::offload_fault_check(int dt_index, int group) {
                            group);
   const task::DetailedTask& dt = graph_.tasks[static_cast<std::size_t>(dt_index)];
   const sim::EventIds ids{step_, dt_index, dt.patch_id, -1, -1, group, 0};
-  const std::string label =
-      "offload_fail " + dt.task->name() + " p" + std::to_string(dt.patch_id);
+  const auto label = [&] { return "offload_fail " + task_label(dt)(); };
   trace_.record(comm_.now(), sim::EventKind::kFaultBegin, label, ids);
   trace_.record(comm_.now(), sim::EventKind::kFaultEnd, label, ids);
   if (++fail_streak_[static_cast<std::size_t>(group)] >=
@@ -584,7 +592,7 @@ void Scheduler::on_finished(task::TaskContext& ctx, int dt_index) {
   st.done = true;
   ++done_count_;
   trace_.record(comm_.now(), sim::EventKind::kTaskEnd,
-                dt.task->name() + " p" + std::to_string(dt.patch_id),
+                task_label(dt),
                 sim::EventIds{step_, dt_index, dt.patch_id, -1, -1, -1, 0});
   // Sec V-C 3(b)i: post nonblocking sends for the completed task.
   for (const task::ExtComm& sc : dt.sends) post_send(ctx, sc, dt_index);
@@ -721,8 +729,7 @@ void Scheduler::run_loop_sync(task::TaskContext& ctx) {
           // reclaims, and the overlap-efficiency metric depends on seeing
           // it.
           const task::DetailedTask& dt = graph_.tasks[static_cast<std::size_t>(t)];
-          const std::string label =
-              dt.task->name() + " p" + std::to_string(dt.patch_id);
+          const auto label = task_label(dt);
           int g = g0;
           for (;;) {
             offload_stencil(ctx, t, g);
@@ -794,7 +801,7 @@ void Scheduler::run_loop_async(task::TaskContext& ctx) {
         const task::DetailedTask& fdt =
             graph_.tasks[static_cast<std::size_t>(finished)];
         trace_.record(comm_.now(), sim::EventKind::kOffloadEnd,
-                      fdt.task->name() + " p" + std::to_string(fdt.patch_id),
+                      task_label(fdt),
                       sim::EventIds{step_, finished, fdt.patch_id, -1, -1, g, 0});
         if (offload_fault_check(finished, g))
           recover_offload(ctx, finished, g);

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <sstream>
+#include <system_error>
 #include <thread>
 
 #include "schedpt/schedule.h"
+#include "sim/fiber.h"
 #include "support/log.h"
 
 namespace usw::sim {
@@ -82,29 +84,7 @@ Coordinator::Coordinator(int nranks, const CoordinatorSpec& spec, TimePs window)
                                               : default_grant_cap();
 }
 
-void Coordinator::start(int rank) {
-  std::unique_lock<std::mutex> lk(lock_);
-  RankSlot& slot = ranks_.at(static_cast<std::size_t>(rank));
-  USW_ASSERT_MSG(slot.state == State::kUnstarted, "rank started twice");
-  slot.state = State::kReady;
-  slot.clock.store(0, std::memory_order_relaxed);
-  // Hold everyone at the starting line until every rank thread has
-  // registered, then open the first window.
-  if (++started_ == size()) open_window_locked();
-  block_until_running_locked(lk, rank);
-}
-
-void Coordinator::finish(int rank) {
-  std::unique_lock<std::mutex> lk(lock_);
-  RankSlot& slot = ranks_.at(static_cast<std::size_t>(rank));
-  USW_ASSERT_MSG(slot.state == State::kRunning ||
-                     cancelled_.load(std::memory_order_relaxed),
-                 "finish requires the grant");
-  const bool was_running = slot.state == State::kRunning;
-  slot.state = State::kFinished;
-  if (was_running && !cancelled_.load(std::memory_order_relaxed))
-    release_locked();
-}
+Coordinator::~Coordinator() = default;
 
 TimePs Coordinator::now(int rank) const {
   // The clock is atomic, so no lock: the owner reads its own writes, and
@@ -116,7 +96,7 @@ TimePs Coordinator::now(int rank) const {
 void Coordinator::advance(int rank, TimePs dt) {
   USW_ASSERT_MSG(dt >= 0, "cannot advance virtual time backwards");
   RankSlot& slot = ranks_.at(static_cast<std::size_t>(rank));
-  // Lock-free: only the owning (granted) rank thread mutates its clock.
+  // Lock-free: only the owning (granted) rank mutates its clock.
   // The state read is race-free too: only a window barrier writes a
   // rank's state, and only while that rank is parked.
   USW_ASSERT_MSG(slot.state == State::kRunning, "advance requires the grant");
@@ -288,7 +268,7 @@ void Coordinator::crash_locked(const std::string& why) {
   cancel_reason_ = why;
   cancelled_.store(true, std::memory_order_release);
   // Snapshot + dump BEFORE waking anyone: parked ranks cannot unwind (and
-  // destroy the state diagnostic providers point at) until the cv fires.
+  // destroy the state diagnostic providers point at) until resumed.
   if (diag_ != nullptr) {
     std::vector<RankStatus> status;
     status.reserve(ranks_.size());
@@ -307,7 +287,15 @@ void Coordinator::crash_locked(const std::string& why) {
     }
     diag_->on_crash(why, status);
   }
-  for (auto& slot : ranks_) slot.cv.notify_all();
+  // Resume every parked fiber once: it throws Cancelled at its park and
+  // unwinds. Fibers on a carrier right now throw at their next park (or are
+  // requeued by after_switch_locked if they were already switching out).
+  for (std::size_t r = 0; r < fibers_.size(); ++r) {
+    const RankSlot& slot = ranks_[r];
+    if (!slot.on_cpu && !slot.queued && !fibers_[r]->done())
+      enqueue_locked(static_cast<int>(r));
+  }
+  carrier_cv_.notify_all();
 }
 
 void Coordinator::set_schedule(schedpt::ScheduleController* schedule,
@@ -504,11 +492,12 @@ void Coordinator::grant_locked(int rank, int candidates) {
   // the eligibility a one-rank-at-a-time order would have granted at.
   slot.seg_start = slot.clock.load(std::memory_order_relaxed);
   slot.state = State::kRunning;
+  slot.wake_fn = nullptr;  // pointed into the parked frame
   ++active_;
   if (diag_ != nullptr)
     diag_->on_rank_pick(rank, candidates,
                         slot.clock.load(std::memory_order_relaxed));
-  slot.cv.notify_all();
+  enqueue_locked(rank);
 }
 
 void Coordinator::release_locked() {
@@ -523,30 +512,137 @@ void Coordinator::release_locked() {
 
 void Coordinator::park_and_block(int rank, State state, TimePs wake,
                                  const std::function<TimePs()>* wake_fn) {
-  std::unique_lock<std::mutex> lk(lock_);
-  if (cancelled_.load(std::memory_order_relaxed)) throw Cancelled(cancel_reason_);
+  if (cancelled_.load(std::memory_order_acquire)) throw Cancelled(cancel_reason_);
   RankSlot& slot = ranks_.at(static_cast<std::size_t>(rank));
   USW_ASSERT_MSG(slot.state == State::kRunning, "parking a rank without a grant");
-  slot.state = state;
-  slot.wake = wake;
-  slot.wake_fn = wake_fn;
-  release_locked();
-  try {
-    block_until_running_locked(lk, rank);
-  } catch (...) {
-    slot.wake_fn = nullptr;  // wake_fn points into this (unwinding) frame
-    throw;
-  }
-  slot.wake_fn = nullptr;
+  // The carrier applies the park once this fiber is off its stack (see
+  // after_switch_locked); until then the rank stays kRunning, so no
+  // window can grant it while it is still executing here.
+  slot.park_state = state;
+  slot.park_wake = wake;
+  slot.park_fn = wake_fn;
+  fibers_[static_cast<std::size_t>(rank)]->yield();
+  // Resumed by a carrier: granted, or woken once to unwind a cancelled run.
+  if (cancelled_.load(std::memory_order_acquire)) throw Cancelled(cancel_reason_);
 }
 
-void Coordinator::block_until_running_locked(std::unique_lock<std::mutex>& lk, int rank) {
-  RankSlot& slot = ranks_.at(static_cast<std::size_t>(rank));
-  slot.cv.wait(lk, [this, &slot] {
-    return cancelled_.load(std::memory_order_relaxed) ||
-           slot.state == State::kRunning;
-  });
-  if (cancelled_.load(std::memory_order_relaxed)) throw Cancelled(cancel_reason_);
+void Coordinator::enqueue_locked(int rank) {
+  RankSlot& slot = ranks_[static_cast<std::size_t>(rank)];
+  USW_ASSERT_MSG(!slot.queued && !slot.on_cpu, "queueing a rank that is on a carrier");
+  slot.queued = true;
+  runnable_.push_back(rank);
+}
+
+void Coordinator::after_switch_locked(int rank) {
+  RankSlot& slot = ranks_[static_cast<std::size_t>(rank)];
+  slot.on_cpu = false;
+  const bool cancelled = cancelled_.load(std::memory_order_relaxed);
+  if (fibers_[static_cast<std::size_t>(rank)]->done()) {
+    const bool was_running = slot.state == State::kRunning;
+    slot.state = State::kFinished;
+    if (--live_ == 0) carrier_cv_.notify_all();
+    if (was_running && !cancelled) release_locked();
+  } else if (cancelled) {
+    enqueue_locked(rank);  // resume it once more: it throws Cancelled
+  } else {
+    slot.state = slot.park_state;
+    slot.wake = slot.park_wake;
+    slot.wake_fn = slot.park_fn;
+    release_locked();
+  }
+}
+
+void Coordinator::carry() {
+  std::unique_lock<std::mutex> lk(lock_);
+  while (live_ > 0) {
+    if (runnable_.empty()) {
+      ++idle_carriers_;
+      carrier_cv_.wait(lk);
+      --idle_carriers_;
+      continue;
+    }
+    const int rank = runnable_.front();
+    runnable_.pop_front();
+    // A window opening queues up to cap grants at once: pass the rest on,
+    // one idle carrier at a time.
+    if (!runnable_.empty() && idle_carriers_ > 0) carrier_cv_.notify_one();
+    RankSlot& slot = ranks_[static_cast<std::size_t>(rank)];
+    slot.queued = false;
+    slot.on_cpu = true;
+    lk.unlock();  // no lock is held across a switch
+    fibers_[static_cast<std::size_t>(rank)]->resume();
+    lk.lock();
+    try {
+      after_switch_locked(rank);
+    } catch (const std::exception& e) {
+      // The grant machinery threw while applying this rank's park or
+      // finish (e.g. a diverged schedule replay at kRankPick): the rank's
+      // own gate failed, so charge the error to it.
+      fail_locked(rank, std::current_exception(), std::string(" threw: ") + e.what());
+    }
+  }
+}
+
+void Coordinator::fail_locked(int rank, std::exception_ptr error,
+                              const std::string& what) {
+  errors_[static_cast<std::size_t>(rank)] = std::move(error);
+  crash_locked("rank " + std::to_string(rank) + what);
+}
+
+void Coordinator::run_rank(const std::function<void(Coordinator&, int)>& body,
+                           int rank) {
+  try {
+    if (cancelled_.load(std::memory_order_acquire)) throw Cancelled(cancel_reason_);
+    body(*this, rank);
+  } catch (const Cancelled&) {
+    // Another rank failed (or deadlock); its error is reported by run().
+  } catch (const std::exception& e) {
+    const std::lock_guard<std::mutex> lk(lock_);
+    fail_locked(rank, std::current_exception(), std::string(" threw: ") + e.what());
+  } catch (...) {
+    const std::lock_guard<std::mutex> lk(lock_);
+    fail_locked(rank, std::current_exception(), " threw an exception");
+  }
+}
+
+void Coordinator::run(const std::function<void(Coordinator&, int)>& body) {
+  USW_ASSERT_MSG(started_ == 0 && fibers_.empty(), "Coordinator::run called twice");
+  errors_.assign(ranks_.size(), nullptr);
+  fibers_.reserve(ranks_.size());
+  for (int r = 0; r < size(); ++r)
+    fibers_.push_back(
+        std::make_unique<Fiber>([this, &body, r] { run_rank(body, r); }));
+  {
+    std::lock_guard<std::mutex> lk(lock_);
+    for (RankSlot& slot : ranks_) {
+      slot.state = State::kReady;
+      slot.clock.store(0, std::memory_order_relaxed);
+    }
+    started_ = size();
+    live_ = size();
+    open_window_locked();
+  }
+  // This thread is one carrier; cap - 1 more (never more than ranks).
+  std::vector<std::thread> helpers;
+  const int carriers = std::min(max_concurrent_, size());
+  helpers.reserve(static_cast<std::size_t>(carriers - 1));
+  try {
+    for (int c = 1; c < carriers; ++c) helpers.emplace_back([this] { carry(); });
+  } catch (const std::system_error& e) {
+    // Fibers are already queued: cancel, and let the carriers that did
+    // start unwind them before the error surfaces.
+    const std::lock_guard<std::mutex> lk(lock_);
+    crash_locked(std::string("cannot start a carrier thread: ") + e.what());
+  }
+  carry();
+  for (std::thread& t : helpers) t.join();
+  fibers_.clear();
+  for (const auto& err : errors_)
+    if (err) std::rethrow_exception(err);
+  // A deadlock (or watchdog stall) cancels every rank with sim::Cancelled,
+  // which run_rank swallows; surface it as a StateError here.
+  if (cancelled())
+    throw StateError("simulation did not complete (" + cancel_reason() + ")");
 }
 
 void run_ranks(int nranks, const std::function<void(Coordinator&, int)>& body) {
@@ -560,33 +656,7 @@ void run_ranks(int nranks, const std::function<void(Coordinator&, int)>& body,
   Coordinator coord(nranks, coord_spec, lookahead);
   if (schedule != nullptr) coord.set_schedule(schedule, lookahead);
   if (diag != nullptr) coord.set_diag(diag, stall_threshold);
-  std::vector<std::thread> threads;
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(nranks));
-  threads.reserve(static_cast<std::size_t>(nranks));
-  for (int r = 0; r < nranks; ++r) {
-    threads.emplace_back([&coord, &body, &errors, r] {
-      try {
-        coord.start(r);
-        body(coord, r);
-        coord.finish(r);
-      } catch (const Cancelled&) {
-        // Another rank failed (or deadlock); its error is reported below.
-      } catch (const std::exception& e) {
-        errors[static_cast<std::size_t>(r)] = std::current_exception();
-        coord.cancel("rank " + std::to_string(r) + " threw: " + e.what());
-      } catch (...) {
-        errors[static_cast<std::size_t>(r)] = std::current_exception();
-        coord.cancel("rank " + std::to_string(r) + " threw an exception");
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (const auto& err : errors)
-    if (err) std::rethrow_exception(err);
-  // A deadlock (or watchdog stall) cancels every rank with sim::Cancelled,
-  // which the lambda swallows; surface it as a StateError here.
-  if (coord.cancelled())
-    throw StateError("simulation did not complete (" + coord.cancel_reason() + ")");
+  coord.run(body);
 }
 
 }  // namespace usw::sim

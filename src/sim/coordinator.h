@@ -2,8 +2,9 @@
 
 // Deterministic discrete-event execution of simulated MPI ranks.
 //
-// Each simulated rank (one Sunway core-group in this project) runs on its
-// own host thread and owns a virtual clock in integer picoseconds. The
+// Each simulated rank (one Sunway core-group in this project) owns a
+// virtual clock in integer picoseconds and runs as a stackful fiber
+// (sim::Fiber) on one of min(cap, ranks) carrier host threads. The
 // Coordinator enforces the conservative parallel-discrete-event invariant:
 // a rank may only *observe* shared state (incoming messages) while it has
 // been granted execution, and grants never violate causality. Because a
@@ -34,6 +35,17 @@
 // a time, always the one with the minimum virtual time (ties broken by
 // lowest rank id), parking at every gate and wait. Only host wall-clock
 // changes.
+//
+// Carriers. run_ranks runs the ranks on min(cap, ranks) carrier threads
+// (the calling thread is one of them). A grant queues the rank; a carrier
+// pops it and switches into its fiber. A parking rank only records how it
+// parks and switches back to its carrier, which then applies the park
+// under the lock (so a rank is never re-granted while still on a stack)
+// and switches into the next queued grant: a handoff is a user-space
+// context switch, not a kernel wake. When the last active rank of a window
+// parks, its carrier opens the next window and wakes at most cap - 1 idle
+// carriers. Cancellation resumes every parked fiber once so it throws
+// Cancelled and unwinds its own stack.
 //
 // Notify equivalence (the subtle part). In the min-clock order, a message
 // arrival lowers the target's wake ONLY if the target is kWaiting at the
@@ -82,17 +94,18 @@
 // kThreads): CPE worker threads are NOT simulated ranks and never touch
 // the Coordinator. They accumulate virtual busy time locally, per CPE, and
 // the owning rank folds it into its own clock's frame of reference only
-// while it is granted (CpeCluster blocks — in host wall-clock, with its
-// virtual clock frozen — until the workers have published). The
+// while it is granted (CpeCluster blocks its carrier — in host wall-clock,
+// with its virtual clock frozen — until the workers have published). The
 // conservative invariant therefore holds unchanged: all virtual-time
-// mutation still happens on granted rank threads.
+// mutation still happens on granted rank fibers.
 //
 // Rank-id grant contract: grants, gates, waits and clocks are keyed on the
 // integer rank id, never on a host thread identity — no API here inspects
-// std::this_thread. A rank may therefore be driven by more than one host
-// thread over its lifetime, as long as exactly one of them performs
-// virtual operations for that rank at any moment and the handoffs
-// establish happens-before (a mutex).
+// std::this_thread. A rank's fiber is driven by different carriers over
+// its lifetime, one at a time, with every handoff ordered by the
+// coordinator lock. Rank bodies must therefore keep no thread_local state
+// across a gate or wait, hold no mutex across one, and never gate or wait
+// inside a catch handler or during unwinding (sim::Fiber asserts the last).
 //
 // Rank states:
 //   kReady    - wants to run; eligible at its clock.
@@ -108,8 +121,11 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
+#include <exception>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -184,6 +200,8 @@ class DiagSink {
                         const std::vector<RankStatus>& ranks) = 0;
 };
 
+class Fiber;
+
 class Coordinator {
  public:
   explicit Coordinator(int nranks);
@@ -192,15 +210,17 @@ class Coordinator {
   /// sets the concurrent-grant cap. A zero window grants one rank per
   /// window, the minimum.
   Coordinator(int nranks, const CoordinatorSpec& spec, TimePs window);
+  ~Coordinator();
 
   int size() const { return static_cast<int>(ranks_.size()); }
 
-  /// Registers the calling thread as `rank` and blocks until it is granted
-  /// execution for the first time.
-  void start(int rank);
-
-  /// Marks `rank` finished and releases its grant.
-  void finish(int rank);
+  /// Runs `body(*this, rank)` once per rank, each as a fiber on the
+  /// carrier threads (see the header comment), and returns when every
+  /// body has returned or unwound. A rank that throws cancels the run;
+  /// the lowest-ranked such exception is rethrown here. A deadlock,
+  /// watchdog stall or explicit cancel throws StateError with the cancel
+  /// reason. Call once, after set_diag/set_schedule.
+  void run(const std::function<void(Coordinator&, int)>& body);
 
   /// Current virtual time of `rank`.
   TimePs now(int rank) const;
@@ -232,7 +252,8 @@ class Coordinator {
   /// all pushes are mutex-ordered by then — and folds the result into the
   /// wake, restoring exactly the min-clock-order scan. `refresh` must not
   /// call back into the Coordinator (it runs under the coordinator lock,
-  /// on the barrier thread) and must stay valid until this call returns.
+  /// on the carrier that opens the window) and must stay valid until this
+  /// call returns.
   void wait_until(int rank, TimePs wake, const std::function<TimePs()>& refresh);
 
   /// Reports an external event for `rank` (e.g. message arrival) stamped at
@@ -310,7 +331,14 @@ class Coordinator {
     /// caller's frame; set under lock_ at park, cleared at grant. Null
     /// when the park's wake is a fixed local event.
     const std::function<TimePs()>* wake_fn = nullptr;
-    std::condition_variable cv;
+    /// The park the fiber asked for before switching out (owner-written);
+    /// its carrier applies it under lock_ once the fiber is off its stack.
+    State park_state = State::kReady;
+    TimePs park_wake = kNever;
+    const std::function<TimePs()>* park_fn = nullptr;
+    /// Carrier bookkeeping, under lock_: in runnable_, or being run.
+    bool queued = false;
+    bool on_cpu = false;
   };
 
   // ---- The windowed engine. All *_locked require lock_ held. ----
@@ -325,10 +353,11 @@ class Coordinator {
   /// An active rank stopped running: hand its slot to the next queued
   /// grant, or open the next window when it was the last one.
   void release_locked();
-  /// Parks a granted rank in `state` (kReady or kWaiting, with `wake`) and
-  /// blocks until the next grant. Slow path of gate() and wait_until().
-  /// `wake_fn` (may be null) is the barrier-time wake recompute for
-  /// scan-derived wakes.
+  /// Parks a granted rank in `state` (kReady or kWaiting, with `wake`):
+  /// switches back to its carrier, which applies the park, and returns
+  /// at the next grant. Slow path of gate() and wait_until(). `wake_fn`
+  /// (may be null) is the barrier-time wake recompute for scan-derived
+  /// wakes.
   void park_and_block(int rank, State state, TimePs wake,
                       const std::function<TimePs()>* wake_fn = nullptr);
   /// Shared body of the wait_until overloads.
@@ -341,7 +370,7 @@ class Coordinator {
   /// is the clock the rank would park at; `waiting` distinguishes a
   /// wait_until park (wake applies) from a gate park (everything up to the
   /// re-grant at `park_clock` is dropped). Returns the effective wake.
-  /// Called by the owning rank thread and, for parked ranks, at the window
+  /// Called by the owning rank and, for parked ranks, at the window
   /// barrier — never concurrently.
   TimePs resolve_notifies(int rank, RankSlot& slot, TimePs park_clock,
                           TimePs wake, bool waiting);
@@ -353,11 +382,23 @@ class Coordinator {
            t - progress_mark_.load(std::memory_order_relaxed) > stall_threshold_;
   }
 
-  /// Blocks the calling rank until it is running (or cancellation).
-  void block_until_running_locked(std::unique_lock<std::mutex>& lk, int rank);
+  // ---- Carriers and fibers (run()). ----
+  /// One carrier: switches into queued ranks until every fiber is done.
+  void carry();
+  /// Fiber body of `rank`: runs `body`, turning a throw into a cancel.
+  void run_rank(const std::function<void(Coordinator&, int)>& body, int rank);
+  /// Records `error` as `rank`'s (run() rethrows the lowest rank's) and
+  /// cancels with "rank <rank><what>".
+  void fail_locked(int rank, std::exception_ptr error, const std::string& what);
+  /// Queues `rank` for the next free carrier.
+  void enqueue_locked(int rank);
+  /// Applies what `rank` did before switching out: finished, parked, or
+  /// (cancelled run) requeued to unwind.
+  void after_switch_locked(int rank);
 
   /// Cancels with `why`, fires diag_->on_crash (if any) while every parked
-  /// rank is still frozen, then wakes everyone. Requires lock_ held.
+  /// rank is still frozen, then queues every parked fiber so it unwinds.
+  /// Requires lock_ held.
   void crash_locked(const std::string& why);
 
   /// Minimum-eligibility scan of open_window_locked.
@@ -382,19 +423,27 @@ class Coordinator {
   TimePs stall_threshold_ = 0;  // 0 = watchdog off
   std::atomic<TimePs> progress_mark_{0};  ///< newest heartbeat() clock
 
-  // Fixed before any rank thread is released (constructor + set_schedule,
-  // both pre-start), so rank threads read them without the lock.
+  // Fixed before any rank is released (constructor + set_schedule, both
+  // pre-run), so ranks read them without the lock.
   int max_concurrent_ = 1;  ///< concurrent-grant cap
   TimePs window_ = 0;       ///< lookahead window width
   std::atomic<TimePs> window_end_{0};
-  int started_ = 0;  ///< ranks registered (first window opens at size())
+  int started_ = 0;  ///< ranks started (run() starts them all at once)
   int active_ = 0;   ///< granted-and-not-parked ranks this window
   std::vector<int> grant_queue_;  ///< this window's grants, in grant order
   std::size_t grant_next_ = 0;    ///< first not-yet-granted queue entry
+
+  std::vector<std::unique_ptr<Fiber>> fibers_;  ///< one per rank during run()
+  std::vector<std::exception_ptr> errors_;      ///< per rank, from run_rank
+  std::deque<int> runnable_;  ///< granted ranks not yet on a carrier
+  std::condition_variable carrier_cv_;  ///< idle carriers wait here
+  int idle_carriers_ = 0;
+  int live_ = 0;  ///< fibers whose body has not returned
 };
 
-/// Runs `body` once per rank on `nranks` host threads under a Coordinator.
-/// Rethrows the first rank exception after all threads join.
+/// Runs `body` once per rank under a Coordinator (Coordinator::run): each
+/// rank is a fiber, and the fibers share min(cap, nranks) carrier threads.
+/// Rethrows the first rank exception after every fiber has unwound.
 void run_ranks(int nranks, const std::function<void(Coordinator&, int)>& body);
 
 /// As above, with a schedule controller (may be null) deciding the

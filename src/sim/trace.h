@@ -11,6 +11,8 @@
 // disabled by default.
 
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "support/units.h"
@@ -65,10 +67,18 @@ class Trace {
   void enable(bool on) { enabled_ = on; }
   bool enabled() const { return enabled_; }
 
-  void record(TimePs time, EventKind kind, std::string label,
-              EventIds ids = {}) {
+  /// Records one event. `label` is anything a std::string can be built
+  /// from, or a callable returning the std::string; either way it is only
+  /// turned into a string when recording is on, so a disabled trace costs
+  /// call sites no string building.
+  template <class Label>
+  void record(TimePs time, EventKind kind, Label&& label, EventIds ids = {}) {
     if (!enabled_) return;
-    events_.push_back(TraceEvent{time, kind, std::move(label), ids});
+    if constexpr (std::is_invocable_r_v<std::string, Label&>)
+      events_.push_back(TraceEvent{time, kind, label(), ids});
+    else
+      events_.push_back(
+          TraceEvent{time, kind, std::string(std::forward<Label>(label)), ids});
   }
 
   const std::vector<TraceEvent>& events() const { return events_; }

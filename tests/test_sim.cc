@@ -5,6 +5,8 @@
 
 #include <atomic>
 #include <mutex>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include "schedpt/schedule.h"
@@ -124,21 +126,37 @@ TEST(Coordinator, ExceptionPropagatesAndCancelsOthers) {
                ConfigError);
 }
 
+/// A little virtual-time dance of `gates` gates over `nranks` ranks;
+/// returns the final clocks. Notify stamps lie 5 ps past the sender, so any
+/// `window` up to 5 honours the latency contract. When `threads` is set,
+/// every host thread that ran a rank body is recorded in it.
+std::vector<TimePs> gate_dance(int nranks, int gates,
+                               const CoordinatorSpec& spec = {},
+                               TimePs window = 0,
+                               std::set<std::thread::id>* threads = nullptr) {
+  std::vector<TimePs> finals(static_cast<std::size_t>(nranks));
+  std::mutex mu;
+  run_ranks(
+      nranks,
+      [&](Coordinator& c, int r) {
+        for (int i = 0; i < gates; ++i) {
+          if (threads != nullptr) {
+            const std::lock_guard<std::mutex> lk(mu);
+            threads->insert(std::this_thread::get_id());
+          }
+          c.advance(r, (r * 7 + i * 3) % 11 + 1);
+          c.gate(r);
+          if (r > 0) c.notify(r - 1, c.now(r) + 5, r);
+        }
+        finals[static_cast<std::size_t>(r)] = c.now(r);
+      },
+      nullptr, window, nullptr, 0, spec);
+  return finals;
+}
+
 TEST(Coordinator, ManyRanksDeterministicTimeline) {
-  // A little virtual-time dance; final clocks must be identical on repeats.
-  auto run_once = [] {
-    std::vector<TimePs> finals(8);
-    run_ranks(8, [&](Coordinator& c, int r) {
-      for (int i = 0; i < 50; ++i) {
-        c.advance(r, (r * 7 + i * 3) % 11 + 1);
-        c.gate(r);
-        if (r > 0) c.notify(r - 1, c.now(r) + 5, r);
-      }
-      finals[static_cast<std::size_t>(r)] = c.now(r);
-    });
-    return finals;
-  };
-  EXPECT_EQ(run_once(), run_once());
+  // Final clocks must be identical on repeats.
+  EXPECT_EQ(gate_dance(8, 50), gate_dance(8, 50));
 }
 
 TEST(Coordinator, InvalidConstruction) {
@@ -339,6 +357,49 @@ TEST(ScheduledCoordinator, LaterGrantLowersFixedWakeOfEarlierParkedRank) {
   EXPECT_GT(pick_last.counters().total(), 0U);
 }
 
+/// Takes the first decision canonically, then refuses every later one, as
+/// a replay that diverges mid-run does.
+class RefusingPick : public schedpt::ScheduleController {
+ public:
+  RefusingPick() : ScheduleController(schedpt::ScheduleSpec{}) {}
+
+ protected:
+  int decide(schedpt::PointKind, int, int, std::uint64_t index) override {
+    if (index > 0) throw StateError("pick refused");
+    return 0;
+  }
+  void on_finish(const std::vector<Entry>&) override {}
+};
+
+TEST(ScheduledCoordinator, ThrowingRankPickFailsTheParkingRank) {
+  // The kRankPick decision runs on a carrier while it applies a rank's
+  // park. A throw there is that rank's error: it surfaces from run_ranks
+  // and every fiber that entered its body unwinds.
+  RefusingPick refuse;
+  std::atomic<int> entered{0};
+  std::atomic<int> unwound{0};
+  try {
+    run_ranks(
+        3,
+        [&](Coordinator& c, int r) {
+          entered.fetch_add(1);
+          struct Guard {
+            std::atomic<int>& n;
+            ~Guard() { n.fetch_add(1); }
+          } guard{unwound};
+          c.advance(r, 10 + r);
+          c.gate(r);
+        },
+        &refuse, 50);
+    ADD_FAILURE() << "the refused pick did not surface";
+  } catch (const StateError& e) {
+    EXPECT_NE(std::string(e.what()).find("pick refused"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_GE(entered.load(), 1);
+  EXPECT_EQ(unwound.load(), entered.load());
+}
+
 /// Minimal crash-capturing diagnostic sink for watchdog tests.
 struct CrashSink : DiagSink {
   std::string reason;
@@ -447,14 +508,107 @@ TEST(ParallelCoordinator, CancelDuringRunReleasesAllRanks) {
   }
 }
 
+// ------------------------------------------- fibers on carrier threads ---
+
+TEST(Coordinator, RanksRunOnCarrierThreads) {
+  // Ranks are fibers on min(cap, ranks) carrier threads (the caller is one),
+  // so 1024 ranks never cost 1024 host threads, and the windowed timeline
+  // at either cap is the min-clock (window 0) reference.
+  constexpr int kRanks = 1024;
+  constexpr int kGates = 20;
+  const std::vector<TimePs> reference = gate_dance(kRanks, kGates);
+
+  std::set<std::thread::id> serial_threads;
+  EXPECT_EQ(gate_dance(kRanks, kGates, CoordinatorSpec{}, 5, &serial_threads),
+            reference);
+  EXPECT_EQ(serial_threads, std::set<std::thread::id>{std::this_thread::get_id()});
+
+  std::set<std::thread::id> parallel_threads;
+  EXPECT_EQ(gate_dance(kRanks, kGates, parallel_spec(4), 5, &parallel_threads),
+            reference);
+  EXPECT_GE(parallel_threads.size(), 1U);
+  EXPECT_LE(parallel_threads.size(), 4U);
+}
+
+TEST(Coordinator, CancellationUnwindsEveryFiber) {
+  // One rank throws mid-run while the others are running, parked at gates
+  // or parked waiting on kNever. Every fiber must unwind exactly once (its
+  // RAII guard runs once), and the thrower's exception must surface —
+  // not the one a later rank would have thrown.
+  constexpr int kRanks = 16;
+  for (const CoordinatorSpec& spec : {CoordinatorSpec{}, parallel_spec(4)}) {
+    std::vector<std::atomic<int>> unwound(kRanks);
+    try {
+      run_ranks(
+          kRanks,
+          [&](Coordinator& c, int r) {
+            struct Guard {
+              std::atomic<int>& n;
+              ~Guard() { n.fetch_add(1); }
+            } guard{unwound[static_cast<std::size_t>(r)]};
+            for (int i = 0; i < 100; ++i) {
+              c.advance(r, 3 + r % 5);
+              c.gate(r);
+              if (r == 5 && i == 40) throw ConfigError("rank 5 fails");
+              if (r == 7 && i == 90) throw ConfigError("rank 7 fails");
+              if (r % 4 == 2 && i == 10) c.wait_until(r, kNever);
+            }
+          },
+          nullptr, 10, nullptr, 0, spec);
+      ADD_FAILURE() << "error did not surface under " << spec.describe();
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("rank 5 fails"), std::string::npos)
+          << spec.describe();
+    }
+    for (int r = 0; r < kRanks; ++r)
+      EXPECT_EQ(unwound[static_cast<std::size_t>(r)].load(), 1)
+          << "rank " << r << " under " << spec.describe();
+  }
+}
+
+TEST(Coordinator, DeadlockNamesEveryWaitingRank) {
+  // Rank 2 finishes; every other rank waits on kNever at its own clock.
+  for (const CoordinatorSpec& spec : {CoordinatorSpec{}, parallel_spec(4)}) {
+    try {
+      run_ranks(
+          6,
+          [](Coordinator& c, int r) {
+            c.advance(r, 10 * r);
+            c.gate(r);
+            if (r != 2) c.wait_until(r, kNever);
+          },
+          nullptr, 50, nullptr, 0, spec);
+      ADD_FAILURE() << "no deadlock under " << spec.describe();
+    } catch (const StateError& e) {
+      const std::string what = e.what();
+      for (int r = 0; r < 6; ++r) {
+        const std::string entry =
+            "rank " + std::to_string(r) + " waiting at t=" + std::to_string(10 * r);
+        EXPECT_EQ(what.find(entry) != std::string::npos, r != 2)
+            << entry << " in '" << what << "' under " << spec.describe();
+      }
+    }
+  }
+}
+
 TEST(Trace, RecordsOnlyWhenEnabled) {
+  // A label builder runs only when the event is recorded.
+  int built = 0;
+  const auto label = [&] {
+    ++built;
+    return std::string("b");
+  };
   Trace t;
   t.record(10, EventKind::kTaskBegin, "a");
+  t.record(10, EventKind::kTaskBegin, label);
   EXPECT_TRUE(t.events().empty());
+  EXPECT_EQ(built, 0);
   t.enable(true);
   t.record(10, EventKind::kTaskBegin, "a");
-  t.record(30, EventKind::kTaskEnd, "a");
-  EXPECT_EQ(t.events().size(), 2u);
+  t.record(30, EventKind::kTaskEnd, label);
+  ASSERT_EQ(t.events().size(), 2u);
+  EXPECT_EQ(built, 1);
+  EXPECT_EQ(t.events()[1].label, "b");
 }
 
 TEST(Trace, FilterAndTotals) {
