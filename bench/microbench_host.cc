@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include "apps/burgers/kernels.h"
 #include "apps/burgers/phi.h"
@@ -174,28 +175,38 @@ BENCHMARK(BM_OffloadPlan)
 
 void BM_OffloadCharge(benchmark::State& state) {
   // Host cost of one timing-only offload of the planned 128x128x512 patch:
-  // spawn and join on a serial-backend cluster, every CPE charged from the
-  // plan. What each step pays per offload once the plan is cached.
+  // spawn and join, the plan's charge set on the MPE, on the serial or the
+  // threads backend. What each step pays per offload once the plan is
+  // cached; a timing-only offload dispatches no body on either backend.
+  const auto backend = static_cast<athread::Backend>(state.range(0));
   const hw::CostModel cost(hw::MachineParams::sunway_taihulight());
   const kern::KernelVariants kv = apps::burgers::make_burgers_kernel(false);
   sched::TileExecArgs args;
   args.kernel = &kv;
   args.patch_cells = grid::Box{{0, 0, 0}, {128, 128, 512}};
   const grid::Tiling tiling(args.patch_cells, kv.tile_shape);
-  const athread::CpeJob job = sched::make_tile_job(
-      args, std::make_shared<const sched::TilePlan>(
-                sched::plan_tile_assignment(args, tiling, 64, 64, cost)));
+  const auto plan = std::make_shared<const sched::TilePlan>(
+      sched::plan_tile_assignment(args, tiling, 64, 64, cost));
+  std::unique_ptr<athread::WorkerPool> pool;
+  if (backend == athread::Backend::kThreads)
+    pool = std::make_unique<athread::WorkerPool>(2);
+  std::vector<TimePs> fault_busy;
   sim::run_ranks(1, [&](sim::Coordinator& coord, int rank) {
-    athread::CpeCluster cluster(cost, coord, rank);
+    athread::CpeCluster cluster(cost, coord, rank, nullptr, 1, backend,
+                                pool.get());
     for (auto _ : state) {
-      cluster.spawn(job);
+      cluster.spawn(
+          sched::tile_offload(args, plan, tiling, 64, cost, fault_busy));
       cluster.join();
       benchmark::DoNotOptimize(coord.now(rank));
     }
   });
+  state.SetLabel(athread::to_string(backend));
   state.SetItemsProcessed(state.iterations() * 4096);
 }
-BENCHMARK(BM_OffloadCharge);
+BENCHMARK(BM_OffloadCharge)
+    ->Arg(static_cast<int>(athread::Backend::kSerial))
+    ->Arg(static_cast<int>(athread::Backend::kThreads));
 
 }  // namespace
 

@@ -1,7 +1,7 @@
 #include "athread/athread.h"
 
 #include <algorithm>
-#include <cstring>
+#include <numeric>
 #include <utility>
 
 #include "schedpt/schedule.h"
@@ -23,30 +23,6 @@ Backend backend_from_string(const std::string& name) {
   throw ConfigError("unknown backend '" + name + "' (expected serial|threads)");
 }
 
-void CpeContext::get(const void* src, void* dst, std::size_t bytes,
-                     bool strided) {
-  if (src != nullptr && dst != nullptr) std::memcpy(dst, src, bytes);
-  busy_ += dma_cost(bytes, strided);
-  if (counters_ != nullptr) counters_->dma_bytes_in += bytes;
-}
-
-void CpeContext::put(const void* src, void* dst, std::size_t bytes,
-                     bool strided) {
-  if (src != nullptr && dst != nullptr) std::memcpy(dst, src, bytes);
-  busy_ += dma_cost(bytes, strided);
-  if (counters_ != nullptr) counters_->dma_bytes_out += bytes;
-}
-
-TimePs CpeContext::dma_cost(std::size_t bytes, bool strided) const {
-  return cost_.cpe_dma(bytes, cluster_cpes_, strided);
-}
-
-void CpeContext::compute(std::uint64_t cells, const hw::KernelCost& kc,
-                         bool simd, bool ieee_exp) {
-  busy_ += cost_.cpe_compute(cells, kc, simd, ieee_exp);
-  if (counters_ != nullptr) counters_->count_kernel_cells(cells, kc);
-}
-
 CpeCluster::CpeCluster(const hw::CostModel& cost, sim::Coordinator& coord,
                        int rank, hw::PerfCounters* counters, int n_groups,
                        Backend backend, WorkerPool* pool)
@@ -56,11 +32,14 @@ CpeCluster::CpeCluster(const hw::CostModel& cost, sim::Coordinator& coord,
   if (n_groups < 1 || cpes % n_groups != 0)
     throw ConfigError("CPE group count " + std::to_string(n_groups) +
                       " must divide the CPE count " + std::to_string(cpes));
+  const auto group_cpes = static_cast<std::size_t>(cpes / n_groups);
+  all_cpes_.resize(group_cpes);
+  std::iota(all_cpes_.begin(), all_cpes_.end(), 0);
   groups_.reserve(static_cast<std::size_t>(n_groups));
   for (int g = 0; g < n_groups; ++g) {
     groups_.push_back(std::make_unique<Group>());
-    groups_.back()->cpe_done.assign(
-        static_cast<std::size_t>(cpes / n_groups), 0);
+    groups_.back()->cpe_busy.assign(group_cpes, 0);
+    groups_.back()->cpe_done.assign(group_cpes, 0);
   }
   if (backend_ == Backend::kThreads) {
     if (pool == nullptr) {
@@ -77,107 +56,101 @@ CpeCluster::CpeCluster(const hw::CostModel& cost, sim::Coordinator& coord,
 }
 
 CpeCluster::~CpeCluster() {
-  if (backend_ != Backend::kThreads) return;
   // Wait (host wall-clock) for any still-dispatched bodies: they reference
-  // this cluster's group slots. Their virtual results are dropped.
+  // this cluster's groups. Their errors are dropped.
   for (const std::unique_ptr<Group>& g : groups_) {
-    if (g->published) continue;
-    std::unique_lock<std::mutex> lk(sync_mu_);
-    sync_cv_.wait(lk, [this, &g] {
-      return g->faaw.load(std::memory_order_acquire) == group_size();
-    });
+    try {
+      wait_bodies(*g);
+    } catch (...) {
+    }
   }
 }
 
-void CpeCluster::run_cpe(Group& group, int cpe, hw::Ldm& ldm) const {
+void CpeCluster::run_cpe(const CpeJob& job, int cpe, hw::Ldm& ldm) const {
   ldm.reset();
-  CpeContext ctx(cpe, group_size(), n_cpes(), ldm, cost_,
-                 &group.cpe_counters[static_cast<std::size_t>(cpe)]);
-  group.job(ctx);
-  group.cpe_busy[static_cast<std::size_t>(cpe)] = ctx.busy();
+  CpeContext ctx(cpe, group_size(), ldm);
+  job(ctx);
 }
 
 void CpeCluster::spawn(const CpeJob& job, int g) {
+  spawn(Offload{{}, {}, {}, job, all_cpes_}, g);
+}
+
+void CpeCluster::spawn(Offload offload, int g) {
   Group& group = this->group(g);
   USW_ASSERT_MSG(!group.in_flight, "spawn while an offload is already in flight");
-  USW_ASSERT_MSG(group.published, "spawn before the previous offload published");
+  const auto n = static_cast<std::size_t>(group_size());
+  USW_ASSERT_MSG((offload.busy.empty() || offload.busy.size() == n) &&
+                     (offload.flops.empty() || offload.flops.size() == n),
+                 "offload charge sized for a different CPE group");
   coord_.advance(rank_, cost_.offload_launch());
   group.spawn_time = coord_.now(rank_);
+  if (!offload.cpes.empty()) {
+    if (backend_ == Backend::kSerial) {
+      for (const int id : offload.cpes) run_cpe(offload.body, id, ldm_);
+    } else {
+      dispatch(group, std::move(offload.body), offload.cpes);
+    }
+  }
+  // The virtual result is the MPE's, fixed here whatever the backend; the
+  // flops go in CPE by CPE so the double sum keeps one order.
   group.completion = group.spawn_time;
-  const int n = group_size();
-  group.job = job;
-  group.cpe_busy.assign(static_cast<std::size_t>(n), 0);
-  group.cpe_counters.assign(static_cast<std::size_t>(n), hw::PerfCounters{});
-  group.cpe_errors.assign(static_cast<std::size_t>(n), nullptr);
-  group.faaw.store(0, std::memory_order_relaxed);
-  if (backend_ == Backend::kSerial) {
-    // A throwing body (e.g. LDM overflow) propagates out of spawn() and
-    // leaves the group idle, exactly as before backends existed.
-    for (int id = 0; id < n; ++id) run_cpe(group, id, ldm_);
-    group.in_flight = true;
-    group.published = false;
-    publish_group(group);
-  } else {
-    group.in_flight = true;
-    group.published = false;
-    for (int id = 0; id < n; ++id) {
-      pool_->submit([this, &group, id](int worker) {
-        try {
-          run_cpe(group, id, worker_ldms_[static_cast<std::size_t>(worker)]);
-        } catch (...) {
-          group.cpe_errors[static_cast<std::size_t>(id)] =
-              std::current_exception();
-        }
-        // The real faaw: bump the group's completion counter in shared
-        // memory, then wake an MPE blocked in sync_group(). The release
-        // fetch-add orders this CPE's slot writes before any MPE read
-        // that observes the full count. The increment happens under
-        // sync_mu_ so the MPE (which checks the count under the same
-        // mutex) can only see the full count after this worker has
-        // released the lock and no longer touches any cluster member —
-        // otherwise a shared-pool MPE could destroy the cluster while
-        // the last worker is between the fetch_add and the notify.
-        std::lock_guard<std::mutex> lk(sync_mu_);
-        group.faaw.fetch_add(1, std::memory_order_release);
-        sync_cv_.notify_all();
-      });
-    }
-  }
-}
-
-void CpeCluster::sync_group(Group& group) const {
-  if (group.published) return;
-  {
-    std::unique_lock<std::mutex> lk(sync_mu_);
-    sync_cv_.wait(lk, [this, &group] {
-      return group.faaw.load(std::memory_order_acquire) == group_size();
-    });
-  }
-  publish_group(group);
-}
-
-void CpeCluster::publish_group(Group& group) const {
-  group.published = true;
-  for (std::size_t id = 0; id < group.cpe_errors.size(); ++id) {
-    if (group.cpe_errors[id] != nullptr) {
-      // Deterministic error surface: the lowest-id failing CPE wins, as it
-      // would have in serial execution. The offload is abandoned.
-      group.in_flight = false;
-      std::rethrow_exception(group.cpe_errors[id]);
-    }
-  }
-  // Fold the per-CPE slots in CPE-id order so the merged counters (double
-  // accumulation included) are bit-identical across backends.
-  for (std::size_t id = 0; id < group.cpe_busy.size(); ++id) {
+  for (std::size_t id = 0; id < n; ++id) {
+    group.cpe_busy[id] = offload.busy.empty() ? 0 : offload.busy[id];
     group.cpe_done[id] = group.spawn_time + group.cpe_busy[id];
     group.completion = std::max(group.completion, group.cpe_done[id]);
   }
   if (counters_ != nullptr) {
-    for (const hw::PerfCounters& slot : group.cpe_counters)
-      counters_->merge(slot);
+    for (const double flops : offload.flops) counters_->counted_flops += flops;
+    counters_->merge(offload.totals);
     counters_->kernels_offloaded += 1;
     counters_->kernel_time += group.completion - group.spawn_time;
   }
+  group.in_flight = true;
+}
+
+void CpeCluster::dispatch(Group& group, CpeJob job, std::span<const int> cpes) {
+  group.job = std::move(job);
+  group.cpe_errors.assign(static_cast<std::size_t>(group_size()), nullptr);
+  group.dispatched = static_cast<int>(cpes.size());
+  group.faaw.store(0, std::memory_order_relaxed);
+  for (const int id : cpes) {
+    pool_->submit([this, &group, id](int worker) {
+      try {
+        run_cpe(group.job, id, worker_ldms_[static_cast<std::size_t>(worker)]);
+      } catch (...) {
+        group.cpe_errors[static_cast<std::size_t>(id)] =
+            std::current_exception();
+      }
+      // The real faaw: bump the group's body counter in shared memory,
+      // then wake an MPE blocked in wait_bodies(). The release fetch-add
+      // orders this CPE's error slot before any MPE read that observes the
+      // full count. The increment happens under sync_mu_ so the MPE (which
+      // checks the count under the same mutex) can only see the full count
+      // after this worker has released the lock and no longer touches any
+      // cluster member; otherwise a shared-pool MPE could destroy the
+      // cluster while the last worker is between the fetch_add and the
+      // notify.
+      std::lock_guard<std::mutex> lk(sync_mu_);
+      group.faaw.fetch_add(1, std::memory_order_release);
+      sync_cv_.notify_all();
+    });
+  }
+}
+
+void CpeCluster::wait_bodies(Group& group) {
+  if (group.dispatched == 0) return;
+  {
+    std::unique_lock<std::mutex> lk(sync_mu_);
+    sync_cv_.wait(lk, [&group] {
+      return group.faaw.load(std::memory_order_acquire) == group.dispatched;
+    });
+  }
+  group.dispatched = 0;
+  // Deterministic error surface: the lowest-id failing CPE wins, as it
+  // would have in serial execution.
+  for (const std::exception_ptr& error : group.cpe_errors)
+    if (error != nullptr) std::rethrow_exception(error);
 }
 
 bool CpeCluster::in_flight(int g) const { return group(g).in_flight; }
@@ -191,56 +164,46 @@ bool CpeCluster::any_in_flight() const {
 bool CpeCluster::poll(int g) {
   Group& group = this->group(g);
   USW_ASSERT_MSG(group.in_flight, "poll with no offload in flight");
-  sync_group(group);
   coord_.advance(rank_, cost_.flag_poll());
-  if (coord_.now(rank_) >= group.completion) {
-    group.in_flight = false;
-    return true;
-  }
-  return false;
+  if (coord_.now(rank_) < group.completion) return false;
+  group.in_flight = false;
+  wait_bodies(group);
+  return true;
 }
 
 int CpeCluster::flag(int g) const {
-  Group& group = this->group(g);
-  if (group.in_flight) sync_group(group);
   const TimePs now = coord_.now(rank_);
   int count = 0;
-  for (TimePs done : group.cpe_done)
+  for (TimePs done : group(g).cpe_done)
     if (done <= now) ++count;
   return count;
 }
 
 const std::vector<TimePs>& CpeCluster::cpe_busy(int g) const {
-  Group& group = this->group(g);
-  if (!group.published) sync_group(group);
-  return group.cpe_busy;
+  return group(g).cpe_busy;
 }
 
 TimePs CpeCluster::completion_time(int g) const {
-  Group& group = this->group(g);
+  const Group& group = this->group(g);
   USW_ASSERT_MSG(group.in_flight, "completion_time with no offload in flight");
-  sync_group(group);
   return group.completion;
 }
 
 TimePs CpeCluster::earliest_completion() const {
   TimePs earliest = sim::kNever;
-  for (const std::unique_ptr<Group>& g : groups_) {
-    if (!g->in_flight) continue;
-    sync_group(*g);
-    earliest = std::min(earliest, g->completion);
-  }
+  for (const std::unique_ptr<Group>& g : groups_)
+    if (g->in_flight) earliest = std::min(earliest, g->completion);
   return earliest;
 }
 
 void CpeCluster::join(int g) {
   Group& group = this->group(g);
   USW_ASSERT_MSG(group.in_flight, "join with no offload in flight");
-  sync_group(group);
   const TimePs before = coord_.now(rank_);
   coord_.wait_until(rank_, group.completion);
   if (counters_ != nullptr) counters_->wait_time += coord_.now(rank_) - before;
   group.in_flight = false;
+  wait_bodies(group);
 }
 
 std::vector<int> CpeCluster::poll_order() const {

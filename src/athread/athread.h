@@ -9,14 +9,19 @@
 // `faaw` atomic. The MPE polls that flag to detect completion — this is
 // what makes the paper's asynchronous scheduler possible.
 //
-// This emulation keeps the exact protocol but swaps the backend:
-//   * functionally, each CPE's kernel body runs on the host, staging real
-//     data through a real capacity-checked Ldm buffer — so numerics, LDM
-//     overflow, and tile logic are all genuinely exercised;
-//   * temporally, each CPE accumulates virtual busy time (DMA + compute via
-//     the CostModel) and the cluster's completion time is
-//     spawn_time + max over CPEs — the MPE observes the flag set only once
-//     its virtual clock passes that point.
+// This emulation keeps the exact protocol but splits its two halves:
+//   * temporally, the MPE decides each offload's virtual result before it
+//     spawns: every CPE's busy time, counted flops and counter totals come
+//     from the offload's plan (sched::TilePlan prices the whole tile loop:
+//     athread_get, kernel, athread_put, grabs). spawn() fixes each CPE's
+//     faaw time at spawn_time + busy and the cluster's completion at the
+//     max over CPEs; the MPE observes the flag set only once its virtual
+//     clock passes that point;
+//   * functionally, each CPE that has work runs its kernel body on the
+//     host, staging real data through a real capacity-checked Ldm buffer,
+//     so numerics, LDM use and tile logic are genuinely exercised. A CPE
+//     with nothing to compute runs no body, and a timing-only offload
+//     dispatches none at all.
 //
 // Two execution backends decide *where* the CPE bodies run:
 //
@@ -26,20 +31,20 @@
 //   Backend::kThreads - bodies are dispatched across a persistent
 //                       WorkerPool of real host threads; spawn() returns
 //                       immediately and each CPE increments the group's
-//                       completion counter with a real std::atomic
-//                       fetch-add (the emulated faaw) when its body ends.
+//                       body counter with a real std::atomic fetch-add
+//                       (the emulated faaw) when its body ends.
 //                       Wall-clock scales with host cores.
 //
 // Both backends produce bit-identical field data and identical virtual-time
 // results: virtual time stays the model, threads only buy wall-clock. The
 // invariant holds because (a) per-CPE write-sets are disjoint (the tile
-// checker enforces it), (b) each CPE accumulates busy time and performance
-// counters into private per-CPE slots, and (c) the cluster folds those
-// slots into the shared state in CPE-id order, on the MPE thread, after the
-// real faaw counter reaches the group size. Any MPE-side query that needs
-// the offload's virtual results (poll, flag, join, completion_time,
-// earliest_completion) first blocks — in host wall-clock only — until the
-// workers have published.
+// checker enforces it), and (b) no body decides any virtual result: busy
+// times, completion and counters are set on the MPE at spawn, with the
+// per-CPE flops added in CPE-id order so the double sum is the same
+// everywhere. Virtual queries (completion_time, earliest_completion, flag,
+// cpe_busy) therefore never wait for workers. Only the points that consume
+// the numerics (poll returning true, join, and the destructor) block, in
+// host wall-clock only, until the dispatched bodies are done.
 //
 // The cluster can be partitioned into 1..64 equal CPE *groups* (the paper's
 // future-work item "group CPEs and schedule different patches to different
@@ -58,6 +63,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -84,59 +90,22 @@ Backend backend_from_string(const std::string& name);
 /// Per-CPE execution context handed to the kernel body.
 class CpeContext {
  public:
-  CpeContext(int cpe_id, int n_cpes, int cluster_cpes, hw::Ldm& ldm,
-             const hw::CostModel& cost, hw::PerfCounters* counters)
-      : cpe_id_(cpe_id), n_cpes_(n_cpes), cluster_cpes_(cluster_cpes),
-        ldm_(ldm), cost_(cost), counters_(counters) {}
+  CpeContext(int cpe_id, int n_cpes, hw::Ldm& ldm)
+      : cpe_id_(cpe_id), n_cpes_(n_cpes), ldm_(ldm) {}
 
   /// Id of this CPE within its group.
   int cpe_id() const { return cpe_id_; }
   /// CPEs in this group (64 for whole-cluster offloads).
   int n_cpes() const { return n_cpes_; }
-  /// CPEs in the whole cluster — what DMA contention is priced against.
-  int cluster_cpes() const { return cluster_cpes_; }
 
   /// This CPE's scratch-pad. Allocate tile buffers from it; overflow
   /// throws ResourceError exactly like exceeding the hardware LDM.
   hw::Ldm& ldm() { return ldm_; }
 
-  /// athread_get: synchronous DMA main memory -> LDM. `src` may be null in
-  /// timing-only mode (no copy, cost still charged). `strided` transfers
-  /// run at reduced DMA efficiency (row-by-row tile staging).
-  void get(const void* src, void* dst, std::size_t bytes, bool strided = true);
-
-  /// athread_put: synchronous DMA LDM -> main memory.
-  void put(const void* src, void* dst, std::size_t bytes, bool strided = true);
-
-  /// Cost of one DMA of `bytes` without charging it.
-  TimePs dma_cost(std::size_t bytes, bool strided = true) const;
-
-  /// Charges compute time for `cells` cells of `kc` and counts its flops.
-  void compute(std::uint64_t cells, const hw::KernelCost& kc, bool simd,
-               bool ieee_exp = false);
-
-  /// Charges raw virtual time (e.g. an offload's planned busy time).
-  void charge(TimePs dt) { busy_ += dt; }
-
-  /// Adds a counter delta (e.g. an offload's planned tiles, flops and
-  /// DMA traffic) to this CPE's private slot; the ordered per-group fold
-  /// keeps totals backend-identical.
-  void count(const hw::PerfCounters& delta) {
-    if (counters_ != nullptr) counters_->merge(delta);
-  }
-
-  const hw::CostModel& cost() const { return cost_; }
-
-  TimePs busy() const { return busy_; }
-
  private:
   int cpe_id_;
   int n_cpes_;
-  int cluster_cpes_;  ///< DMA contention is against the whole cluster
   hw::Ldm& ldm_;
-  const hw::CostModel& cost_;
-  hw::PerfCounters* counters_;  ///< private per-CPE slot, never shared
-  TimePs busy_ = 0;
 };
 
 /// Kernel body run once per CPE of the target group. Under
@@ -144,6 +113,26 @@ class CpeContext {
 /// multiple host threads, so it must be safe to call re-entrantly and its
 /// per-CPE write-sets must be disjoint.
 using CpeJob = std::function<void(CpeContext&)>;
+
+/// One offload as the MPE hands it to a CPE group: its virtual result,
+/// decided before spawn, and the bodies that compute its numerics. The
+/// spans need only outlive the spawn() call.
+struct Offload {
+  /// Per CPE of the group: virtual busy time from spawn to its faaw.
+  /// Empty means zero for every CPE.
+  std::span<const TimePs> busy;
+  /// Per CPE: counted flops, added to the rank's counters one CPE at a
+  /// time in CPE-id order, so the double sum is the same on any backend.
+  /// Empty means none.
+  std::span<const double> flops;
+  /// Order-free integer counter totals (tiles, cells, DMA traffic, grabs,
+  /// fault retries), merged once.
+  hw::PerfCounters totals;
+  /// The numerics, run once for each CPE id in `cpes` (ascending). A CPE
+  /// not listed runs nothing.
+  CpeJob body;
+  std::span<const int> cpes;
+};
 
 /// The 64-CPE cluster of one core-group, driven by one rank (its MPE),
 /// optionally partitioned into independent groups.
@@ -157,8 +146,8 @@ class CpeCluster {
              hw::PerfCounters* counters = nullptr, int n_groups = 1,
              Backend backend = Backend::kSerial, WorkerPool* pool = nullptr);
 
-  /// Blocks until every dispatched CPE body has finished; in-flight
-  /// offloads' virtual results are discarded (nobody is left to ask).
+  /// Blocks until every dispatched CPE body has finished; their errors
+  /// are dropped (nobody is left to ask).
   ~CpeCluster();
 
   CpeCluster(const CpeCluster&) = delete;
@@ -169,10 +158,14 @@ class CpeCluster {
   int group_size() const { return n_cpes() / n_groups(); }
   Backend backend() const { return backend_; }
 
-  /// Offloads `job` to group `g`. Charges offload_launch of MPE time and
-  /// records the spawn time. Backend::kSerial executes the per-CPE bodies
-  /// before returning; Backend::kThreads dispatches them onto the worker
-  /// pool and returns immediately. The group must be idle.
+  /// Offloads to group `g`. Charges offload_launch of MPE time, then fixes
+  /// the offload's virtual result from `offload`'s busy times, flops and
+  /// totals. Backend::kSerial runs the listed bodies before returning (a
+  /// throwing body propagates out and leaves the group idle);
+  /// Backend::kThreads dispatches them onto the worker pool and returns
+  /// immediately. The group must be idle.
+  void spawn(Offload offload, int g = 0);
+  /// Runs `job` once on every CPE of group `g`, with zero busy time.
   void spawn(const CpeJob& job, int g = 0);
 
   /// True between spawn() and the flag being observed complete.
@@ -180,7 +173,9 @@ class CpeCluster {
   /// True if any group has an offload in flight.
   bool any_in_flight() const;
 
-  /// Polls group g's completion flag (charges flag_poll of MPE time).
+  /// Polls group g's completion flag (charges flag_poll of MPE time). On
+  /// true, first waits (host wall-clock) for the group's bodies and
+  /// rethrows the lowest-id failing CPE's exception.
   bool poll(int g = 0);
 
   /// Current flag value of group g: CPEs whose virtual completion the MPE
@@ -190,17 +185,17 @@ class CpeCluster {
   /// Completion time of the offload in flight on group g.
   TimePs completion_time(int g = 0) const;
 
-  /// Per-CPE virtual busy times of group g's most recent offload (blocks
-  /// until the workers publish under Backend::kThreads). Indexed by CPE id
-  /// within the group; valid until the next spawn() on that group. The
-  /// schedulers read this after completion to roll up load-imbalance
-  /// telemetry.
+  /// Per-CPE virtual busy times of group g's most recent offload, indexed
+  /// by CPE id within the group; valid until the next spawn() on that
+  /// group. The schedulers read this after completion to roll up
+  /// load-imbalance telemetry.
   const std::vector<TimePs>& cpe_busy(int g = 0) const;
   /// Earliest completion among all in-flight groups (kNever if none).
   TimePs earliest_completion() const;
 
   /// Blocks (virtual time) until group g's offload completes; the
-  /// synchronous MPE+CPE mode's spin loop.
+  /// synchronous MPE+CPE mode's spin loop. Then waits for its bodies like
+  /// a successful poll().
   void join(int g = 0);
 
   /// Installs a schedule controller for the kOffloadPoll point: which
@@ -220,36 +215,34 @@ class CpeCluster {
 
  private:
   struct Group {
-    // MPE-owned protocol state (never touched by workers).
+    // MPE-owned protocol state, fixed at spawn (never touched by workers).
     bool in_flight = false;
-    bool published = true;  ///< virtual results folded into the state below
     TimePs spawn_time = 0;
     TimePs completion = 0;
-    std::vector<TimePs> cpe_done;
-    CpeJob job;  ///< shared copy the workers invoke (set before dispatch)
-
-    // Per-CPE slots: each worker writes exactly its own index, then bumps
-    // `faaw`. The MPE reads them only after faaw == group size, so the
-    // fetch-add release sequence orders every slot write before the read.
     std::vector<TimePs> cpe_busy;
-    std::vector<hw::PerfCounters> cpe_counters;
-    std::vector<std::exception_ptr> cpe_errors;
+    std::vector<TimePs> cpe_done;
 
-    /// The real faaw: CPEs atomically increment it on completion; the MPE
-    /// blocks on it before touching any virtual result of the offload.
-    std::atomic<int> faaw{0};
+    // Dispatched bodies (Backend::kThreads). `job` is the shared copy the
+    // workers invoke; each worker writes only its own `cpe_errors` slot,
+    // then bumps `faaw`. The MPE reads the slots only after faaw ==
+    // dispatched, so the fetch-add release sequence orders every write
+    // before the read.
+    CpeJob job;
+    int dispatched = 0;  ///< bodies not yet waited for (0: none pending)
+    std::vector<std::exception_ptr> cpe_errors;
+    std::atomic<int> faaw{0};  ///< the real faaw: finished bodies
   };
 
   Group& group(int g) const {
     return *groups_.at(static_cast<std::size_t>(g));
   }
-  /// Runs one CPE body with a private context staged out of `ldm`.
-  void run_cpe(Group& group, int cpe, hw::Ldm& ldm) const;
-  /// Blocks until every CPE of `group` has faaw'd, then publishes once.
-  void sync_group(Group& group) const;
-  /// Folds per-CPE busy times and counters into the group's virtual
-  /// completion state and the shared PerfCounters, in CPE-id order.
-  void publish_group(Group& group) const;
+  /// Runs `job` as CPE `cpe` of a group with a context staged out of `ldm`.
+  void run_cpe(const CpeJob& job, int cpe, hw::Ldm& ldm) const;
+  /// Submits one pool task per CPE id in `cpes`, each running `job`.
+  void dispatch(Group& group, CpeJob job, std::span<const int> cpes);
+  /// Blocks until every body dispatched on `group` has faaw'd, then
+  /// rethrows the lowest-id failing CPE's exception, if any.
+  void wait_bodies(Group& group);
 
   const hw::CostModel& cost_;
   sim::Coordinator& coord_;
@@ -259,9 +252,10 @@ class CpeCluster {
   Backend backend_;
   hw::Ldm ldm_;                       ///< kSerial: shared, reset per CPE
   std::vector<hw::Ldm> worker_ldms_;  ///< kThreads: one per pool worker
+  std::vector<int> all_cpes_;         ///< 0..group_size()-1, for spawn(job)
   std::vector<std::unique_ptr<Group>> groups_;
-  mutable std::mutex sync_mu_;
-  mutable std::condition_variable sync_cv_;
+  std::mutex sync_mu_;
+  std::condition_variable sync_cv_;
   WorkerPool* pool_ = nullptr;  ///< kThreads dispatch target
   // Declared last so a private pool is torn down (joining its workers)
   // before the groups those workers reference.

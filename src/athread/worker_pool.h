@@ -4,15 +4,15 @@
 // backend (Backend::kThreads in athread.h).
 //
 // One pool serves every CpeCluster of a simulation: clusters enqueue one
-// task per CPE of an offload, and the pool's threads drain the queue in
-// submission order. Tasks receive the index of the worker executing them
+// task per CPE of an offload that has a body to run, and the pool's
+// threads drain the queue in submission order. Tasks receive the index of the worker executing them
 // (0..size()-1) so callers can hand each worker exclusive scratch state —
 // CpeCluster uses it to give every worker its own 64 KB Ldm model.
 //
 // The pool is intentionally dumb: no stealing, no priorities, FIFO only.
 // Determinism of the simulation does not depend on execution order (CPE
-// write-sets are disjoint and all virtual-time results are folded in CPE-id
-// order by the cluster), so the queue only has to be correct, not clever.
+// write-sets are disjoint and every virtual-time result is decided on the
+// MPE at spawn), so the queue only has to be correct, not clever.
 //
 // Host profiling (opt-in via enable_profiling): per-task queue-wait and
 // submit-side lock-contention times, plus per-worker task counts. All

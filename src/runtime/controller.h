@@ -50,10 +50,10 @@ struct RunConfig {
   bool collect_metrics = false;
 
   /// Where the emulated CPE kernel bodies execute (uswsim --backend).
-  /// kSerial runs them on each rank's host thread; kThreads dispatches
-  /// them across a shared pool of real host threads. Both backends give
-  /// bit-identical fields and identical virtual-time results — threads
-  /// only buy host wall-clock.
+  /// kSerial runs them inline on the rank's carrier thread; kThreads
+  /// dispatches them across a shared pool of real host threads. Both
+  /// backends give bit-identical fields and identical virtual-time
+  /// results — threads only buy host wall-clock.
   athread::Backend backend = athread::Backend::kSerial;
   /// Worker threads for Backend::kThreads (0 = one per host core, capped).
   int backend_threads = 0;

@@ -345,8 +345,8 @@ void Scheduler::offload_stencil(task::TaskContext& ctx, int dt_index, int group)
   }
   // Plan the offload on the MPE (the tile->CPE assignment and the CPE
   // charge; an LDM overflow throws here, before the spawn) and hand the
-  // same plan to the job, the race detector, and the telemetry, so all
-  // three see the assignment actually executed.
+  // same plan to the offload, the race detector, and the telemetry, so
+  // all three see the assignment actually executed.
   const grid::Tiling tiling(patch.cells(), kernel.tile_shape);
   const std::shared_ptr<const TilePlan> plan = tile_plan(args, tiling, dt_index);
   if (config_.checker != nullptr) {
@@ -368,27 +368,21 @@ void Scheduler::offload_stencil(task::TaskContext& ctx, int dt_index, int group)
   const auto label = task_label(dt);
   const sim::EventIds ids{step_, dt_index, dt.patch_id, -1, -1, group, 0};
   trace_.record(comm_.now(), sim::EventKind::kOffloadBegin, label, ids);
-  athread::CpeJob job = make_tile_job(args, plan);
   if (config_.faults != nullptr) {
-    if (const auto stall = config_.faults->cpe_stall(step_, dt_index, attempt,
-                                                     cluster_.group_size())) {
-      // One CPE of this offload runs `factor` x slower: charge its extra
-      // busy time after the body. The decision was made here on the MPE
-      // (hash of stable ids), so both backends wrap identically; the
-      // rounding below is a deterministic double->int conversion.
+    args.fault.stall = config_.faults->cpe_stall(step_, dt_index, attempt,
+                                                 cluster_.group_size());
+    if (args.fault.stall) {
+      // One CPE of this offload runs `factor` x slower. The decision is a
+      // hash of stable ids, and tile_offload charges it here on the MPE.
       counters_.fault_injected += 1;
       const auto stall_label = [&] { return "cpe_stall " + label(); };
       trace_.record(comm_.now(), sim::EventKind::kFaultBegin, stall_label, ids);
       trace_.record(comm_.now(), sim::EventKind::kFaultEnd, stall_label, ids);
-      job = [inner = std::move(job), s = *stall](athread::CpeContext& cpe) {
-        inner(cpe);
-        if (cpe.cpe_id() == s.cpe)
-          cpe.charge(static_cast<TimePs>(static_cast<double>(cpe.busy()) *
-                                         (s.factor - 1.0)));
-      };
     }
   }
-  cluster_.spawn(std::move(job), group);
+  cluster_.spawn(tile_offload(args, plan, tiling, cluster_.n_cpes(),
+                              comm_.net().cost(), fault_busy_),
+                 group);
   if (config_.flight != nullptr)
     config_.flight->record(obs::FlightKind::kOffloadSpawn, comm_.now(), dt_index,
                            group);
@@ -407,15 +401,12 @@ void Scheduler::offload_stencil(task::TaskContext& ctx, int dt_index, int group)
                       dt.patch_id, patch.cells(), dt.task->name());
   }
   trace_.record(comm_.now(), sim::EventKind::kKernelBegin, label, ids);
-  // completion_time() blocks until the workers publish under the threads
-  // backend; only pay for it when the event would actually be recorded,
-  // so untraced runs keep the spawn->poll overlap window open.
-  if (trace_.enabled())
-    trace_.record(cluster_.completion_time(group), sim::EventKind::kKernelEnd,
-                  label, ids);
+  trace_.record(cluster_.completion_time(group), sim::EventKind::kKernelEnd,
+                label, ids);
   offloaded_[static_cast<std::size_t>(group)] = dt_index;
-  // The functional writes happened eagerly inside spawn(); the MPE-side
-  // task scope ends here even though the offload is still in flight.
+  // The functional writes are done by the time poll/join report the
+  // completion; the MPE-side task scope ends here even though the offload
+  // is still in flight.
   if (config_.checker != nullptr) config_.checker->end_task();
 }
 

@@ -282,6 +282,7 @@ class Scheduler {
     int group_size = 0;
   };
   std::vector<CachedPlan> plans_;          ///< per dt index, across steps
+  std::vector<TimePs> fault_busy_;         ///< busy times of a faulted offload
 
   // Resilience state, persistent across steps (a degraded group stays
   // degraded for the remainder of the run).

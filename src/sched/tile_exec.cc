@@ -88,29 +88,31 @@ TimePs double_buffered_busy(const std::vector<TileCharge>& mine) {
   return busy;
 }
 
-/// Injected DMA errors on this CPE's tiles. A failed athread_get is
-/// detected by the CPE and re-issued: one more get under synchronous DMA
-/// (time and traffic), one exposed re-transfer that stalls the pipeline
-/// under double buffering (time only). Each draw is a pure hash of the
-/// offload and the tile and each retry an integer add, so the charge is
-/// CPE-local and order-free. The numerics are untouched: the retry
-/// rereads the same main-memory bytes.
-void charge_dma_errors(const TileExecArgs& args, const grid::Tiling& tiling,
-                       const std::vector<int>& mine, athread::CpeContext& ctx) {
+/// Injected DMA errors on the offload's tiles, added to its per-CPE
+/// `busy` and counter `totals`. A failed athread_get is detected by the CPE
+/// and re-issued: one more get under synchronous DMA (time and traffic),
+/// one exposed re-transfer that stalls the pipeline under double buffering
+/// (time only). Each draw is a pure hash of the offload and the tile and
+/// each retry an integer add, so the charge is order-free. The numerics
+/// are untouched: the retry rereads the same main-memory bytes.
+void charge_dma_errors(const TileExecArgs& args, const TilePlan& plan,
+                       const grid::Tiling& tiling, int cluster_cpes,
+                       const hw::CostModel& cost, std::vector<TimePs>& busy,
+                       hw::PerfCounters& totals) {
   const TileFaultProbe& probe = args.fault;
-  hw::PerfCounters retried;
-  for (int t : mine) {
-    if (!probe.plan->dma_error(probe.incarnation, probe.rank, probe.step,
-                               probe.task, t))
-      continue;
-    const std::uint64_t bytes = bytes_of(static_cast<std::uint64_t>(
-        tiling.tile(t).grown(args.kernel->ghost).volume()));
-    ctx.charge(ctx.dma_cost(bytes, !args.packed_tiles));
-    if (!args.async_dma) retried.dma_bytes_in += bytes;
-    retried.fault_injected += 1;
-    retried.fault_retries += 1;
+  for (std::size_t cpe = 0; cpe < busy.size(); ++cpe) {
+    for (int t : plan.assignment.tiles_per_cpe[cpe]) {
+      if (!probe.plan->dma_error(probe.incarnation, probe.rank, probe.step,
+                                 probe.task, t))
+        continue;
+      const std::uint64_t bytes = bytes_of(static_cast<std::uint64_t>(
+          tiling.tile(t).grown(args.kernel->ghost).volume()));
+      busy[cpe] += cost.cpe_dma(bytes, cluster_cpes, !args.packed_tiles);
+      if (!args.async_dma) totals.dma_bytes_in += bytes;
+      totals.fault_injected += 1;
+      totals.fault_retries += 1;
+    }
   }
-  ctx.count(retried);
 }
 
 /// The tile loop's numerics: stage each tile into LDM buffers, run the
@@ -194,12 +196,15 @@ TilePlan plan_tile_assignment(const TileExecArgs& args,
     double flops = 0.0;
     for (const TileCharge& tile : mine) {
       flops += tile.flops;
-      plan.cells += tile.interior;
-      plan.dma_bytes_in += bytes_of(tile.ghosted);
-      plan.dma_bytes_out += bytes_of(tile.interior);
+      plan.totals.cells_computed += tile.interior;
+      plan.totals.dma_bytes_in += bytes_of(tile.ghosted);
+      plan.totals.dma_bytes_out += bytes_of(tile.interior);
     }
     plan.flops[cpe] = flops;
-    plan.tiles += mine.size();
+    plan.totals.tiles_executed += mine.size();
+    plan.totals.tile_grabs +=
+        static_cast<std::uint64_t>(plan.assignment.grabs_per_cpe[cpe]);
+    if (!mine.empty()) plan.working.push_back(static_cast<int>(cpe));
   }
   return plan;
 }
@@ -214,38 +219,39 @@ std::vector<std::pair<int, grid::Box>> tile_writes(const grid::Tiling& tiling,
   return writes;
 }
 
-athread::CpeJob make_tile_job(TileExecArgs args,
-                              std::shared_ptr<const TilePlan> plan) {
+athread::Offload tile_offload(const TileExecArgs& args,
+                              const std::shared_ptr<const TilePlan>& plan,
+                              const grid::Tiling& tiling, int cluster_cpes,
+                              const hw::CostModel& cost,
+                              std::vector<TimePs>& busy) {
   USW_ASSERT(args.kernel != nullptr);
   USW_ASSERT(plan != nullptr);
-  return [args, plan = std::move(plan)](athread::CpeContext& ctx) {
-    USW_ASSERT_MSG(plan->n_cpes() == ctx.n_cpes(),
-                   "tile plan sized for a different CPE group");
-    const auto cpe = static_cast<std::size_t>(ctx.cpe_id());
-    const std::vector<int>& mine = plan->assignment.tiles_per_cpe[cpe];
-    const int grabs = plan->assignment.grabs_per_cpe[cpe];
-    // The integer counters are whole-offload sums, so they ride in CPE 0's
-    // slot; the flop sum stays per CPE for the ordered fold. Any other CPE
-    // without tiles or grabs (a static partition's spare CPEs) has nothing
-    // to charge or count.
-    if (cpe != 0 && mine.empty() && grabs == 0) return;
-    hw::PerfCounters planned;
-    planned.counted_flops = plan->flops[cpe];
-    planned.tile_grabs = static_cast<std::uint64_t>(grabs);
-    if (cpe == 0) {
-      planned.tiles_executed = plan->tiles;
-      planned.cells_computed = plan->cells;
-      planned.dma_bytes_in = plan->dma_bytes_in;
-      planned.dma_bytes_out = plan->dma_bytes_out;
+  athread::Offload offload{plan->busy, plan->flops, plan->totals, {}, {}};
+  const TileFaultProbe& probe = args.fault;
+  if (probe.plan != nullptr || probe.stall) {
+    busy.assign(plan->busy.begin(), plan->busy.end());
+    if (probe.plan != nullptr)
+      charge_dma_errors(args, *plan, tiling, cluster_cpes, cost, busy,
+                        offload.totals);
+    // The stall scales the CPE's whole charge, DMA re-issues included; the
+    // rounding is a deterministic double->int conversion.
+    if (probe.stall) {
+      TimePs& stalled = busy.at(static_cast<std::size_t>(probe.stall->cpe));
+      stalled += static_cast<TimePs>(static_cast<double>(stalled) *
+                                     (probe.stall->factor - 1.0));
     }
-    ctx.charge(plan->busy[cpe]);
-    ctx.count(planned);
-    if (mine.empty()) return;
-    const grid::Tiling tiling(args.patch_cells, args.kernel->tile_shape);
-    if (args.fault.plan != nullptr) charge_dma_errors(args, tiling, mine, ctx);
-    if (args.in.valid() && args.out.valid())
-      run_numerics(args, tiling, mine, ctx.ldm());
-  };
+    offload.busy = busy;
+  }
+  if (args.in.valid() && args.out.valid()) {
+    offload.body = [args, plan, tiling](athread::CpeContext& ctx) {
+      run_numerics(args, tiling,
+                   plan->assignment.tiles_per_cpe[static_cast<std::size_t>(
+                       ctx.cpe_id())],
+                   ctx.ldm());
+    };
+    offload.cpes = plan->working;
+  }
+  return offload;
 }
 
 }  // namespace usw::sched

@@ -15,10 +15,11 @@
 // flops, and the offload's tile/cell/DMA totals. It also checks the
 // staging buffers against the 64 KB LDM with hw::Ldm's own bump
 // arithmetic, so an oversized tile throws ResourceError before spawn.
-// The scheduler caches the plan per task, so a step's offload costs the
-// CPE bodies O(1) each: a body charges its planned busy time and counters
-// and, on functional storage only, runs the numerics (stage in, kernel,
-// stage out) through real LDM buffers. Timing-only bodies touch no tile.
+// The scheduler caches the plan per task. Each offload then hands the
+// cluster the plan's charge, with this offload's injected faults added on
+// the MPE, and on functional storage only a numerics body (stage in,
+// kernel, stage out through real LDM buffers) for each CPE that owns
+// tiles. A timing-only offload dispatches no body.
 //
 // Two of the paper's future-work optimizations (Sec IX) are available:
 //   * async_dma  - double-buffered tiles: the next tile's athread_get and
@@ -30,6 +31,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -42,17 +44,19 @@
 
 namespace usw::sched {
 
-/// Identity of an offload for deterministic DMA-error injection. The plan
-/// is consulted per tile with a pure hash, so the serial and threads
-/// backends (and any tile policy) see the same errors. Inactive when
-/// `plan` is null; the scheduler sets it only for plans with a dma_error
-/// rule, so other fault kinds cost no per-tile hash.
+/// An offload's injected CPE faults, charged on the MPE. DMA errors are
+/// drawn per tile from `plan` with a pure hash of the offload's identity,
+/// so any backend and tile policy sees the same errors; they are inactive
+/// when `plan` is null, and the scheduler sets it only for plans with a
+/// dma_error rule, so other fault kinds cost no per-tile hash. `stall` is
+/// the scheduler's cpe_stall decision for this offload, if any.
 struct TileFaultProbe {
   const fault::FaultPlan* plan = nullptr;
   std::uint64_t incarnation = 0;
   int rank = -1;
   int step = -1;
   int task = -1;
+  std::optional<fault::FaultPlan::Stall> stall;
 };
 
 struct TileExecArgs {
@@ -68,14 +72,14 @@ struct TileExecArgs {
   bool packed_tiles = false; ///< contiguous tile transfers (Sec IX)
   double cost_scale = 1.0;   ///< per-patch work multiplier
   TilePolicy policy = TilePolicy::kStaticZ;  ///< tile->CPE assignment
-  TileFaultProbe fault;      ///< deterministic DMA-error injection
+  TileFaultProbe fault;      ///< injected DMA errors and CPE stall
 };
 
-/// One offload's plan: the tile->CPE assignment and everything its CPE
-/// bodies charge. Per CPE it keeps only the busy time and the flop sum
-/// (a double, so each CPE keeps its own tile-by-tile sum and the CPE-id
-/// ordered fold stays bit-identical); the integer counters are order-free
-/// sums and are kept once per offload.
+/// One offload's plan: the tile->CPE assignment and its whole charge. Per
+/// CPE it keeps the busy time and the flop sum (a double, so each CPE
+/// keeps its own tile-by-tile sum and the cluster's CPE-id ordered sum is
+/// the same on any backend); the integer counters are order-free sums and
+/// are kept once per offload.
 struct TilePlan {
   TileAssignment assignment;
   /// Per CPE: charged busy time under the offload's DMA mode, grabs
@@ -83,10 +87,10 @@ struct TilePlan {
   std::vector<TimePs> busy;
   /// Per CPE: counted flops, summed tile by tile in execution order.
   std::vector<double> flops;
-  std::uint64_t tiles = 0;
-  std::uint64_t cells = 0;
-  std::uint64_t dma_bytes_in = 0;
-  std::uint64_t dma_bytes_out = 0;
+  /// Tiles, cells, DMA traffic and tile grabs of the whole offload.
+  hw::PerfCounters totals;
+  /// CPEs that own tiles, ascending: the only ones that run a body.
+  std::vector<int> working;
 
   int n_cpes() const { return assignment.n_cpes(); }
 };
@@ -105,13 +109,20 @@ TilePlan plan_tile_assignment(const TileExecArgs& args,
                               schedpt::ScheduleController* schedule = nullptr,
                               int rank = 0);
 
-/// Job for CpeCluster::spawn that executes `plan` (from
-/// plan_tile_assignment with the same `args`). Copies `args` by value; the
-/// views must stay valid until the offload completes. Injected DMA errors
-/// (args.fault) are drawn per offload and add their re-issue on top of the
-/// planned charge.
-athread::CpeJob make_tile_job(TileExecArgs args,
-                              std::shared_ptr<const TilePlan> plan);
+/// The offload that executes `plan` (from plan_tile_assignment with the
+/// same `args`, `tiling` and `cluster_cpes`). Its charge is the plan's;
+/// when args.fault injects anything, the busy times are copied into
+/// `busy` and this offload's faults added there: each DMA error re-issues
+/// its tile's athread_get, then the stalled CPE runs `factor` x slower.
+/// On functional storage each CPE in plan->working runs the numerics; a
+/// timing-only offload has no body. The offload's spans point into `plan`
+/// and `busy`; the body copies `args`, whose views must stay valid until
+/// the offload completes.
+athread::Offload tile_offload(const TileExecArgs& args,
+                              const std::shared_ptr<const TilePlan>& plan,
+                              const grid::Tiling& tiling, int cluster_cpes,
+                              const hw::CostModel& cost,
+                              std::vector<TimePs>& busy);
 
 /// The per-CPE write-sets — (cpe id, tile interior box) pairs — of the
 /// assignment actually executed, in execution order. Feeds the access

@@ -92,12 +92,12 @@
 //
 // Interaction with the real-threads CPE backend (athread::Backend::
 // kThreads): CPE worker threads are NOT simulated ranks and never touch
-// the Coordinator. They accumulate virtual busy time locally, per CPE, and
-// the owning rank folds it into its own clock's frame of reference only
-// while it is granted (CpeCluster blocks its carrier — in host wall-clock,
-// with its virtual clock frozen — until the workers have published). The
-// conservative invariant therefore holds unchanged: all virtual-time
-// mutation still happens on granted rank fibers.
+// the Coordinator or any virtual time. They only run kernel numerics; each
+// offload's virtual result is decided by the owning rank at spawn, while
+// it is granted. A rank that consumes the numerics (poll, join) blocks its
+// carrier, in host wall-clock with its virtual clock frozen, until the
+// bodies are done. The conservative invariant therefore holds unchanged:
+// all virtual-time mutation still happens on granted rank fibers.
 //
 // Rank-id grant contract: grants, gates, waits and clocks are keyed on the
 // integer rank id, never on a host thread identity — no API here inspects

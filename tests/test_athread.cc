@@ -1,5 +1,5 @@
 // Tests for the athread emulation: offload protocol, completion-flag
-// semantics, DMA accounting, and virtual-time behavior.
+// semantics, planned counters, and virtual-time behavior.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,17 @@ namespace usw::athread {
 namespace {
 
 hw::MachineParams machine() { return hw::MachineParams::sunway_taihulight(); }
+
+/// Per-CPE busy times (cpe_id + 1) us: CPE 63 is slowest.
+std::vector<TimePs> ramp_busy() {
+  std::vector<TimePs> busy(64);
+  for (std::size_t id = 0; id < busy.size(); ++id)
+    busy[id] = static_cast<TimePs>(id + 1) * kMicrosecond;
+  return busy;
+}
+
+/// An offload with the given per-CPE busy times and no bodies.
+Offload timed(const std::vector<TimePs>& busy) { return {busy, {}, {}, {}, {}}; }
 
 /// Runs `body` as a single simulated rank with a cluster.
 template <typename Fn>
@@ -40,9 +51,8 @@ TEST(CpeCluster, SpawnRunsBodyOncePerCpe) {
 TEST(CpeCluster, CompletionIsMaxOverCpes) {
   with_cluster([](sim::Coordinator& coord, CpeCluster& cluster,
                   hw::PerfCounters&, const hw::CostModel&) {
-    cluster.spawn([](CpeContext& ctx) {
-      ctx.charge((ctx.cpe_id() + 1) * kMicrosecond);  // CPE 63 is slowest
-    });
+    const std::vector<TimePs> busy = ramp_busy();
+    cluster.spawn(timed(busy));
     const TimePs spawn_done = coord.now(0);
     EXPECT_EQ(cluster.completion_time(), spawn_done + 64 * kMicrosecond);
     cluster.join();
@@ -53,9 +63,8 @@ TEST(CpeCluster, CompletionIsMaxOverCpes) {
 TEST(CpeCluster, FlagCountsCompletedCpes) {
   with_cluster([](sim::Coordinator& coord, CpeCluster& cluster,
                   hw::PerfCounters&, const hw::CostModel&) {
-    cluster.spawn([](CpeContext& ctx) {
-      ctx.charge((ctx.cpe_id() + 1) * kMicrosecond);
-    });
+    const std::vector<TimePs> busy = ramp_busy();
+    cluster.spawn(timed(busy));
     // Halfway through, 32 CPEs have faaw'd.
     coord.advance(0, 32 * kMicrosecond + 500 * kNanosecond);
     EXPECT_EQ(cluster.flag(), 32);
@@ -67,7 +76,8 @@ TEST(CpeCluster, FlagCountsCompletedCpes) {
 TEST(CpeCluster, PollChargesTimeAndDetectsCompletion) {
   with_cluster([](sim::Coordinator& coord, CpeCluster& cluster,
                   hw::PerfCounters&, const hw::CostModel& cost) {
-    cluster.spawn([](CpeContext& ctx) { ctx.charge(10 * kMicrosecond); });
+    const std::vector<TimePs> busy(64, 10 * kMicrosecond);
+    cluster.spawn(timed(busy));
     const TimePs t0 = coord.now(0);
     EXPECT_FALSE(cluster.poll());
     EXPECT_EQ(coord.now(0), t0 + cost.flag_poll());
@@ -87,54 +97,41 @@ TEST(CpeCluster, SpawnWhileInFlightAborts) {
   });
 }
 
-TEST(CpeCluster, DmaMovesDataAndCountsBytes) {
+TEST(CpeCluster, SpawnAddsPlannedCounters) {
   with_cluster([](sim::Coordinator&, CpeCluster& cluster,
                   hw::PerfCounters& counters, const hw::CostModel&) {
-    std::vector<double> main_mem(256, 3.25);
-    std::vector<double> result(256, 0.0);
-    cluster.spawn([&](CpeContext& ctx) {
-      if (ctx.cpe_id() != 0) return;
-      auto buf = ctx.ldm().alloc<double>(256);
-      ctx.get(main_mem.data(), buf.data(), 256 * sizeof(double));
-      for (double& x : buf) x *= 2.0;
-      ctx.put(buf.data(), result.data(), 256 * sizeof(double));
-    });
-    cluster.join();
-    EXPECT_DOUBLE_EQ(result[0], 6.5);
-    EXPECT_DOUBLE_EQ(result[255], 6.5);
-    EXPECT_EQ(counters.dma_bytes_in, 256u * 8u);
-    EXPECT_EQ(counters.dma_bytes_out, 256u * 8u);
-  });
-}
-
-TEST(CpeCluster, TimingOnlyDmaChargesWithoutCopy) {
-  with_cluster([](sim::Coordinator&, CpeCluster& cluster,
-                  hw::PerfCounters& counters, const hw::CostModel&) {
-    TimePs busy = 0;
-    cluster.spawn([&](CpeContext& ctx) {
-      if (ctx.cpe_id() != 0) return;
-      ctx.get(nullptr, nullptr, 4096);
-      busy = ctx.busy();
-    });
-    cluster.join();
-    EXPECT_GT(busy, 0);
+    // Inexact per-CPE flops: the sum must be taken in CPE-id order.
+    std::vector<double> flops(64);
+    for (std::size_t id = 0; id < flops.size(); ++id)
+      flops[id] = 0.1 * static_cast<double>(id * id + 1);
+    hw::PerfCounters totals;
+    totals.tiles_executed = 8;
+    totals.dma_bytes_in = 4096;
+    const std::vector<TimePs> busy = ramp_busy();
+    cluster.spawn(Offload{busy, flops, totals, {}, {}});
+    double expected = 0.0;
+    for (const double f : flops) expected += f;
+    EXPECT_EQ(counters.counted_flops, expected);  // bitwise, not approx
+    EXPECT_EQ(counters.tiles_executed, 8u);
     EXPECT_EQ(counters.dma_bytes_in, 4096u);
+    EXPECT_EQ(counters.kernels_offloaded, 1u);
+    EXPECT_EQ(counters.kernel_time, 64 * kMicrosecond);
+    EXPECT_EQ(cluster.cpe_busy(), busy);
+    cluster.join();
   });
 }
 
-TEST(CpeCluster, ComputeChargesAndCountsFlops) {
-  with_cluster([](sim::Coordinator&, CpeCluster& cluster,
-                  hw::PerfCounters& counters, const hw::CostModel& cost) {
-    hw::KernelCost kc;
-    kc.flops_per_cell = 10;
-    cluster.spawn([&](CpeContext& ctx) {
-      if (ctx.cpe_id() == 0) ctx.compute(100, kc, false);
-    });
+TEST(CpeCluster, OffloadRunsBodiesOnlyOnListedCpes) {
+  with_cluster([](sim::Coordinator&, CpeCluster& cluster, hw::PerfCounters&,
+                  const hw::CostModel&) {
+    std::vector<int> seen;
+    const std::vector<int> cpes = {2, 5, 63};
+    cluster.spawn(Offload{{}, {}, {}, [&seen](CpeContext& ctx) {
+                            seen.push_back(ctx.cpe_id());
+                          },
+                          cpes});
+    EXPECT_EQ(seen, cpes);
     cluster.join();
-    EXPECT_DOUBLE_EQ(counters.counted_flops, 1000.0);
-    EXPECT_EQ(counters.cells_computed, 100u);
-    EXPECT_EQ(counters.kernels_offloaded, 1u);
-    (void)cost;
   });
 }
 
@@ -153,7 +150,8 @@ TEST(CpeCluster, LdmIsResetBetweenCpes) {
 TEST(CpeCluster, JoinAccountsWaitTime) {
   with_cluster([](sim::Coordinator&, CpeCluster& cluster,
                   hw::PerfCounters& counters, const hw::CostModel&) {
-    cluster.spawn([](CpeContext& ctx) { ctx.charge(5 * kMicrosecond); });
+    const std::vector<TimePs> busy(64, 5 * kMicrosecond);
+    cluster.spawn(timed(busy));
     cluster.join();
     EXPECT_EQ(counters.wait_time, 5 * kMicrosecond);
   });

@@ -7,12 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <map>
+#include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/advect/advect_app.h"
@@ -82,6 +86,14 @@ TEST(WorkerPool, DefaultSizeIsSane) {
 
 hw::MachineParams machine() { return hw::MachineParams::sunway_taihulight(); }
 
+/// Per-CPE busy times (cpe_id + 1) us: CPE 63 is slowest.
+std::vector<TimePs> ramp_busy() {
+  std::vector<TimePs> busy(64);
+  for (std::size_t id = 0; id < busy.size(); ++id)
+    busy[id] = static_cast<TimePs>(id + 1) * kMicrosecond;
+  return busy;
+}
+
 template <typename Fn>
 void with_cluster(athread::Backend backend, int n_groups, Fn&& body) {
   const hw::CostModel cost(machine());
@@ -98,9 +110,8 @@ TEST(ThreadsBackend, CompletionIsMaxOverCpes) {
   with_cluster(athread::Backend::kThreads, 1,
                [](sim::Coordinator& coord, athread::CpeCluster& cluster,
                   hw::PerfCounters&) {
-    cluster.spawn([](athread::CpeContext& ctx) {
-      ctx.charge((ctx.cpe_id() + 1) * kMicrosecond);  // CPE 63 is slowest
-    });
+    const std::vector<TimePs> busy = ramp_busy();
+    cluster.spawn(athread::Offload{busy, {}, {}, {}, {}});
     const TimePs spawn_done = coord.now(0);
     EXPECT_EQ(cluster.completion_time(), spawn_done + 64 * kMicrosecond);
     cluster.join();
@@ -112,9 +123,8 @@ TEST(ThreadsBackend, FlagCountsCompletedCpes) {
   with_cluster(athread::Backend::kThreads, 1,
                [](sim::Coordinator& coord, athread::CpeCluster& cluster,
                   hw::PerfCounters&) {
-    cluster.spawn([](athread::CpeContext& ctx) {
-      ctx.charge((ctx.cpe_id() + 1) * kMicrosecond);
-    });
+    const std::vector<TimePs> busy = ramp_busy();
+    cluster.spawn(athread::Offload{busy, {}, {}, {}, {}});
     coord.advance(0, 32 * kMicrosecond + 500 * kNanosecond);
     EXPECT_EQ(cluster.flag(), 32);
     cluster.join();
@@ -122,26 +132,57 @@ TEST(ThreadsBackend, FlagCountsCompletedCpes) {
   });
 }
 
-TEST(ThreadsBackend, DmaMovesDataAndMergesCounters) {
+TEST(ThreadsBackend, VirtualQueriesDoNotWaitForBodies) {
+  // One CPE's body is held on a latch. The virtual queries must answer from
+  // the charge fixed at spawn while it is held; only join waits for it.
+  // The queries run under a bounded wait, so a cluster that blocks on its
+  // workers fails the test instead of hanging it.
+  std::promise<void> latch;
+  std::once_flag released;
+  const auto release = [&] { std::call_once(released, [&] { latch.set_value(); }); };
+  const std::shared_future<void> held = latch.get_future().share();
+  std::atomic<bool> body_done{false};
   with_cluster(athread::Backend::kThreads, 1,
-               [](sim::Coordinator&, athread::CpeCluster& cluster,
-                  hw::PerfCounters& counters) {
-    // Every CPE stages its own 64-double slice through its LDM and writes
-    // it back doubled: disjoint write-sets, real concurrency.
-    std::vector<double> main_mem(64 * 64, 1.5);
-    std::vector<double> result(64 * 64, 0.0);
-    cluster.spawn([&](athread::CpeContext& ctx) {
-      const std::size_t off = static_cast<std::size_t>(ctx.cpe_id()) * 64;
-      auto buf = ctx.ldm().alloc<double>(64);
-      ctx.get(main_mem.data() + off, buf.data(), 64 * sizeof(double));
-      for (double& x : buf) x *= 2.0;
-      ctx.put(buf.data(), result.data() + off, 64 * sizeof(double));
+               [&](sim::Coordinator& coord, athread::CpeCluster& cluster,
+                   hw::PerfCounters&) {
+    const std::vector<TimePs> busy = ramp_busy();
+    const std::vector<int> cpes = {7};
+    cluster.spawn(athread::Offload{busy, {}, {},
+                                   [held, &body_done](athread::CpeContext&) {
+                                     held.wait();
+                                     body_done = true;
+                                   },
+                                   cpes});
+    const TimePs spawn_done = coord.now(0);
+    coord.advance(0, 32 * kMicrosecond + 500 * kNanosecond);
+    struct Answers {
+      TimePs completion = 0;
+      TimePs earliest = 0;
+      int flag = 0;
+      std::vector<TimePs> busy;
+    };
+    std::future<Answers> queries = std::async(std::launch::async, [&] {
+      return Answers{cluster.completion_time(), cluster.earliest_completion(),
+                     cluster.flag(), cluster.cpe_busy()};
+    });
+    const bool answered = queries.wait_for(std::chrono::seconds(10)) ==
+                          std::future_status::ready;
+    EXPECT_TRUE(answered) << "a virtual query waited for a held body";
+    EXPECT_FALSE(body_done.load());
+    if (!answered) release();  // let the blocked query finish
+    const Answers answers = queries.get();
+    EXPECT_EQ(answers.completion, spawn_done + 64 * kMicrosecond);
+    EXPECT_EQ(answers.earliest, spawn_done + 64 * kMicrosecond);
+    EXPECT_EQ(answers.flag, 32);
+    EXPECT_EQ(answers.busy, busy);
+    // join consumes the numerics, so it must wait for the held body.
+    std::thread releaser([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      release();
     });
     cluster.join();
-    for (double x : result) EXPECT_DOUBLE_EQ(x, 3.0);
-    EXPECT_EQ(counters.dma_bytes_in, 64u * 64u * 8u);
-    EXPECT_EQ(counters.dma_bytes_out, 64u * 64u * 8u);
-    EXPECT_EQ(counters.kernels_offloaded, 1u);
+    EXPECT_TRUE(body_done.load());
+    releaser.join();
   });
 }
 
@@ -166,10 +207,7 @@ TEST(ThreadsBackend, DestructorWaitsForDispatchedBodies) {
   with_cluster(athread::Backend::kThreads, 1,
                [&](sim::Coordinator&, athread::CpeCluster& cluster,
                    hw::PerfCounters&) {
-    cluster.spawn([&ran](athread::CpeContext& ctx) {
-      ctx.charge(kMicrosecond);
-      ran.fetch_add(1);
-    });
+    cluster.spawn([&ran](athread::CpeContext&) { ran.fetch_add(1); });
     // No poll/join: the rank finishes with the offload "in flight".
   });
   EXPECT_EQ(ran.load(), 64);
@@ -197,20 +235,37 @@ StressOutcome run_stress(athread::Backend backend) {
                                 backend, &pool);
     const int gs = cluster.group_size();
     out.data.assign(static_cast<std::size_t>(kGroups) * gs, 0.0);
+    // The MPE-side charge: CPE c computes 10 + c cells of a 7-flop kernel
+    // (inexact flop sums) plus a ragged stall.
     hw::KernelCost kc;
     kc.flops_per_cell = 7;
+    std::vector<TimePs> busy;
+    std::vector<double> flops;
+    std::vector<int> cpes;
+    hw::PerfCounters totals;
+    for (int c = 0; c < gs; ++c) {
+      const auto cells = 10 + static_cast<std::uint64_t>(c);
+      busy.push_back(cost.cpe_compute(cells, kc, /*simd=*/false) +
+                     (c % 5) * kNanosecond);
+      flops.push_back(static_cast<double>(cells) * kc.counted_flops_per_cell() *
+                      1.1);
+      cpes.push_back(c);
+      totals.cells_computed += cells;
+      totals.dma_bytes_out += sizeof(double);
+    }
     for (int round = 0; round < kRounds; ++round) {
       for (int g = 0; g < kGroups; ++g) {
-        cluster.spawn([&, g, round](athread::CpeContext& ctx) {
-          auto buf = ctx.ldm().alloc<double>(16);
-          buf[0] = g * 1000.0 + round + ctx.cpe_id() * 0.001;
-          ctx.compute(10 + static_cast<std::uint64_t>(ctx.cpe_id()), kc,
-                      /*simd=*/false);
-          ctx.charge((ctx.cpe_id() % 5) * kNanosecond);
-          ctx.put(buf.data(),
-                  &out.data[static_cast<std::size_t>(g * gs + ctx.cpe_id())],
-                  sizeof(double));
-        }, g);
+        cluster.spawn(
+            athread::Offload{busy, flops, totals,
+                             [&, g, round](athread::CpeContext& ctx) {
+                               auto buf = ctx.ldm().alloc<double>(16);
+                               buf[0] = g * 1000.0 + round + ctx.cpe_id() * 0.001;
+                               std::memcpy(&out.data[static_cast<std::size_t>(
+                                               g * gs + ctx.cpe_id())],
+                                           buf.data(), sizeof(double));
+                             },
+                             cpes},
+            g);
       }
       for (int g = 0; g < kGroups; ++g) {
         out.completions.push_back(cluster.completion_time(g));
@@ -485,9 +540,10 @@ INSTANTIATE_TEST_SUITE_P(InjectionSeeds, BackendEquivalenceFaults,
                          ::testing::Values(1, 7, 42));
 
 TEST(BackendTrace, SerialAndThreadsRecordIdenticalEvents) {
-  // With tracing on, the scheduler queries completion_time right after
-  // spawn (forcing an early publish under kThreads); the recorded events —
-  // including the future-stamped kernel completions — must still agree.
+  // With tracing on, the scheduler stamps each kernel end from
+  // completion_time right after spawn, while the bodies may still run
+  // under kThreads; the recorded events — including the future-stamped
+  // kernel completions — must still agree.
   runtime::RunConfig config;
   config.problem = runtime::tiny_problem({2, 1, 1}, {8, 8, 8});
   config.variant = runtime::variant_by_name("acc.async");
@@ -513,6 +569,46 @@ TEST(BackendTrace, SerialAndThreadsRecordIdenticalEvents) {
       EXPECT_EQ(es[i].label, et[i].label) << "event " << i;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Dispatch: a pool task only for a CPE with numerics to compute.
+
+runtime::RunResult run_dispatch(var::StorageMode storage) {
+  runtime::RunConfig config;
+  // One 32^3 patch in the default 16x16x8 tiles: 16 tiles in 4 z-slabs,
+  // which the static policy gives to 4 of the 64 CPEs.
+  config.problem = runtime::tiny_problem({1, 1, 1}, {32, 32, 32});
+  config.variant = runtime::variant_by_name("acc.sync");
+  config.backend = athread::Backend::kThreads;
+  config.backend_threads = 2;
+  config.nranks = 1;
+  config.timesteps = 2;
+  config.storage = storage;
+  config.collect_metrics = true;
+  return runtime::run_simulation(config, apps::burgers::BurgersApp());
+}
+
+TEST(BackendDispatch, TimingOnlyOffloadsDispatchNothing) {
+  const runtime::RunResult r = run_dispatch(var::StorageMode::kTimingOnly);
+  EXPECT_GT(r.merged_counters().kernels_offloaded, 0u);
+  EXPECT_EQ(r.host.reg.counter("host.pool_tasks"), 0.0);
+}
+
+TEST(BackendDispatch, FunctionalOffloadsDispatchOnlyTileOwners) {
+  const runtime::RunResult r = run_dispatch(var::StorageMode::kFunctional);
+  const std::uint64_t offloads = r.merged_counters().kernels_offloaded;
+  ASSERT_GT(offloads, 0u);
+  EXPECT_EQ(r.host.reg.counter("host.pool_tasks"),
+            4.0 * static_cast<double>(offloads));
+  // The busy times say the same: 4 equally loaded CPEs out of 64.
+  const obs::Distribution* mean =
+      r.ranks[0].obs_metrics.distribution("offload.cpe_busy_mean_ps");
+  const obs::Distribution* max =
+      r.ranks[0].obs_metrics.distribution("offload.cpe_busy_max_ps");
+  ASSERT_NE(mean, nullptr);
+  ASSERT_NE(max, nullptr);
+  EXPECT_EQ(mean->stats.sum() / max->stats.sum(), 4.0 / 64.0);
 }
 
 }  // namespace

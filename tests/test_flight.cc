@@ -233,6 +233,7 @@ TEST(HostProfile, FilledForSerialRuns) {
 
 TEST(HostProfile, ThreadsBackendFeedsPoolStats) {
   runtime::RunConfig c = tiny_config();
+  c.storage = var::StorageMode::kFunctional;  // timing-only dispatches nothing
   c.backend = athread::Backend::kThreads;
   c.backend_threads = 2;
   apps::burgers::BurgersApp app;

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "apps/burgers/burgers_app.h"
 #include "athread/athread.h"
 #include "runtime/controller.h"
@@ -106,8 +108,10 @@ TEST(FutureWork, GroupsRunKernelsConcurrently) {
   sim::run_ranks(1, [&](sim::Coordinator& coord, int rank) {
     athread::CpeCluster cluster(cost, coord, rank, nullptr, 2);
     EXPECT_EQ(cluster.group_size(), 32);
-    cluster.spawn([](athread::CpeContext& ctx) { ctx.charge(10 * kMicrosecond); }, 0);
-    cluster.spawn([](athread::CpeContext& ctx) { ctx.charge(30 * kMicrosecond); }, 1);
+    const std::vector<TimePs> fast(32, 10 * kMicrosecond);
+    const std::vector<TimePs> slow(32, 30 * kMicrosecond);
+    cluster.spawn(athread::Offload{fast, {}, {}, {}, {}}, 0);
+    cluster.spawn(athread::Offload{slow, {}, {}, {}, {}}, 1);
     EXPECT_TRUE(cluster.in_flight(0));
     EXPECT_TRUE(cluster.in_flight(1));
     EXPECT_EQ(cluster.earliest_completion(), cluster.completion_time(0));

@@ -1,8 +1,9 @@
 // Tests for the CPE tile executor: functional equivalence with a direct
 // kernel application, LDM capacity enforcement, DMA/tile accounting,
 // timing-only behavior, and a differential oracle that checks the planned
-// charge against the per-tile walk it replaced. Also failure-injection tests: errors thrown inside
-// rank bodies must cancel the whole simulation cleanly.
+// charge against the per-tile walk it replaced. Also failure-injection
+// tests: errors thrown inside rank bodies must cancel the whole simulation
+// cleanly.
 
 #include <gtest/gtest.h>
 
@@ -10,10 +11,12 @@
 #include <bit>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/burgers/burgers_app.h"
 #include "apps/burgers/kernels.h"
+#include "hw/ldm.h"
 #include "runtime/controller.h"
 #include "sched/tile_exec.h"
 #include "sim/coordinator.h"
@@ -32,15 +35,16 @@ kern::KernelEnv test_env() {
   return env;
 }
 
-/// Plans `args` for `cluster` the way the scheduler does and returns the
-/// job that executes the plan.
-athread::CpeJob planned_job(const TileExecArgs& args,
-                            const athread::CpeCluster& cluster,
-                            const hw::CostModel& cost) {
+/// Plans `args` for `cluster` the way the scheduler does and spawns the
+/// offload that executes the plan.
+void spawn_planned(athread::CpeCluster& cluster, const TileExecArgs& args,
+                   const hw::CostModel& cost) {
   const grid::Tiling tiling(args.patch_cells, args.kernel->tile_shape);
-  return make_tile_job(
-      args, std::make_shared<const TilePlan>(plan_tile_assignment(
-                args, tiling, cluster.group_size(), cluster.n_cpes(), cost)));
+  const auto plan = std::make_shared<const TilePlan>(plan_tile_assignment(
+      args, tiling, cluster.group_size(), cluster.n_cpes(), cost));
+  std::vector<TimePs> fault_busy;
+  cluster.spawn(
+      tile_offload(args, plan, tiling, cluster.n_cpes(), cost, fault_busy));
 }
 
 TEST(TileExec, MatchesDirectKernelApplication) {
@@ -62,7 +66,7 @@ TEST(TileExec, MatchesDirectKernelApplication) {
     args.in = kern::FieldView::of(u0);
     args.out = kern::FieldView::of(tiled);
     args.patch_cells = patch;
-    cluster.spawn(planned_job(args, cluster, cost));
+    spawn_planned(cluster, args, cost);
     cluster.join();
   });
 
@@ -90,7 +94,7 @@ TEST(TileExec, SimdTilingAlsoMatchesDirect) {
     args.out = kern::FieldView::of(tiled);
     args.patch_cells = patch;
     args.vectorize = true;
-    cluster.spawn(planned_job(args, cluster, cost));
+    spawn_planned(cluster, args, cost);
     cluster.join();
   });
   for (std::size_t i = 0; i < direct.data().size(); ++i)
@@ -111,7 +115,7 @@ TEST(TileExec, CountsTilesAndDmaTraffic) {
     args.in = kern::FieldView::of(u0);
     args.out = kern::FieldView::of(out);
     args.patch_cells = patch;
-    cluster.spawn(planned_job(args, cluster, cost));
+    spawn_planned(cluster, args, cost);
     cluster.join();
   });
   EXPECT_EQ(counters.tiles_executed, 8u);
@@ -137,7 +141,7 @@ TEST(TileExec, TimingOnlyChargesWithoutData) {
     args.env = test_env();
     args.patch_cells = patch;  // views left invalid: timing-only
     const TimePs before = coord.now(rank);
-    cluster.spawn(planned_job(args, cluster, cost));
+    spawn_planned(cluster, args, cost);
     cluster.join();
     elapsed = coord.now(rank) - before;
   });
@@ -176,7 +180,7 @@ TEST(TileExec, DoubleBufferedSingleTileMatchesDirect) {
     args.patch_cells = patch;
     args.async_dma = true;
     const TimePs before = coord.now(rank);
-    cluster.spawn(planned_job(args, cluster, cost));
+    spawn_planned(cluster, args, cost);
     cluster.join();
     elapsed = coord.now(rank) - before;
   });
@@ -213,7 +217,7 @@ TEST(TileExec, DoubleBufferedHeterogeneousTilesMatchDirect) {
     args.out = kern::FieldView::of(tiled);
     args.patch_cells = patch;
     args.async_dma = true;
-    cluster.spawn(planned_job(args, cluster, cost));
+    spawn_planned(cluster, args, cost);
     cluster.join();
   });
   for (std::size_t i = 0; i < direct.data().size(); ++i)
@@ -248,7 +252,7 @@ TEST(TileExec, DoubleBufferedDynamicWithEmptyCpesMatchesDirect) {
     args.patch_cells = patch;
     args.async_dma = true;
     args.policy = TilePolicy::kDynamic;
-    cluster.spawn(planned_job(args, cluster, cost));
+    spawn_planned(cluster, args, cost);
     cluster.join();
   });
   for (std::size_t i = 0; i < direct.data().size(); ++i)
@@ -271,7 +275,7 @@ TEST(TileExec, OversizedTileOverflowsLdm) {
                        args.kernel = &kv;
                        args.env = test_env();
                        args.patch_cells = patch;
-                       cluster.spawn(planned_job(args, cluster, cost));
+                       spawn_planned(cluster, args, cost);
                        cluster.join();
                      }),
       ResourceError);
@@ -282,94 +286,139 @@ TEST(TileExec, OversizedTileOverflowsLdm) {
 // as the reference. Each CPE stages every tile through its LDM and charges
 // the paper's loop tile by tile: get, kernel, put under synchronous DMA; the
 // double-buffered pipeline otherwise; injected DMA errors re-issued as they
-// are drawn. The plan-charged offload must match it exactly.
+// are drawn. The planned offload, with its MPE-side DMA-error charge, must
+// match it exactly.
 
-athread::CpeJob reference_job(TileExecArgs args,
-                              std::shared_ptr<const TileAssignment> assignment) {
-  return [args, assignment](athread::CpeContext& ctx) {
-    const kern::KernelVariants& kernel = *args.kernel;
-    const grid::Tiling tiling(args.patch_cells, kernel.tile_shape);
-    const auto cpe = static_cast<std::size_t>(ctx.cpe_id());
-    const std::vector<int>& mine = assignment->tiles_per_cpe[cpe];
-    const int grabs = assignment->grabs_per_cpe[cpe];
-    hw::PerfCounters counted;
-    ctx.charge(static_cast<TimePs>(grabs) * ctx.cost().cpe_faaw());
-    counted.tile_grabs = static_cast<std::uint64_t>(grabs);
-    const hw::KernelCost base = kernel.cost.scaled(args.cost_scale);
-    const bool strided = !args.packed_tiles;
-    auto tile_cost = [&](const grid::Box& tile) {
-      return kernel.tile_cost_scale ? base.scaled(kernel.scale_for_tile(tile))
-                                    : base;
-    };
-    auto dma_error = [&](int t) {
-      return args.fault.plan != nullptr &&
-             args.fault.plan->dma_error(args.fault.incarnation, args.fault.rank,
-                                        args.fault.step, args.fault.task, t);
-    };
-    auto in_bytes = [&](int t) {
-      return static_cast<std::size_t>(
-                 tiling.tile(t).grown(kernel.ghost).volume()) *
-             sizeof(double);
-    };
-    auto out_bytes = [&](int t) {
-      return static_cast<std::size_t>(tiling.tile(t).volume()) * sizeof(double);
-    };
-    if (!args.async_dma) {
-      for (int t : mine) {
-        const grid::Box tile = tiling.tile(t);
-        ctx.charge(ctx.cost().cpe_tile_overhead());
-        ctx.ldm().reset();
-        (void)ctx.ldm().alloc<double>(in_bytes(t) / sizeof(double));
-        (void)ctx.ldm().alloc<double>(out_bytes(t) / sizeof(double));
-        ctx.get(nullptr, nullptr, in_bytes(t), strided);
-        if (dma_error(t)) {
-          ctx.get(nullptr, nullptr, in_bytes(t), strided);
-          counted.fault_injected += 1;
-          counted.fault_retries += 1;
-        }
-        ctx.compute(static_cast<std::uint64_t>(tile.volume()), tile_cost(tile),
-                    args.vectorize, kernel.use_ieee_exp);
-        ctx.put(nullptr, nullptr, out_bytes(t), strided);
-        counted.tiles_executed += 1;
-      }
-    } else if (!mine.empty()) {
-      std::size_t max_in = 0, max_out = 0;
-      for (int t : mine) {
-        max_in = std::max(max_in, in_bytes(t) / sizeof(double));
-        max_out = std::max(max_out, out_bytes(t) / sizeof(double));
-      }
-      ctx.ldm().reset();
-      for (std::size_t count : {max_in, max_in, max_out, max_out})
-        (void)ctx.ldm().alloc<double>(count);
-      const std::size_t n = mine.size();
-      for (std::size_t i = 0; i < n; ++i) {
-        const int t = mine[i];
-        const grid::Box tile = tiling.tile(t);
-        counted.dma_bytes_in += in_bytes(t);
-        counted.dma_bytes_out += out_bytes(t);
-        counted.count_kernel_cells(static_cast<std::uint64_t>(tile.volume()),
-                                   tile_cost(tile));
-        counted.tiles_executed += 1;
-        if (dma_error(t)) {
-          ctx.charge(ctx.dma_cost(in_bytes(t), strided));
-          counted.fault_injected += 1;
-          counted.fault_retries += 1;
-        }
-        if (i == 0) ctx.charge(ctx.dma_cost(in_bytes(t), strided));
-        TimePs overlapped = 0;
-        if (i + 1 < n) overlapped += ctx.dma_cost(in_bytes(mine[i + 1]), strided);
-        if (i > 0) overlapped += ctx.dma_cost(out_bytes(mine[i - 1]), strided);
-        const TimePs compute =
-            ctx.cost().cpe_tile_overhead() +
-            ctx.cost().cpe_compute(static_cast<std::uint64_t>(tile.volume()),
-                                   tile_cost(tile), args.vectorize,
-                                   kernel.use_ieee_exp);
-        ctx.charge(std::max(compute, overlapped));
-      }
-      ctx.charge(ctx.dma_cost(out_bytes(mine.back()), strided));
-    }
-    ctx.count(counted);
+/// What the walk charges one CPE: its busy time and its own counter slot.
+struct CpeSlot {
+  TimePs busy = 0;
+  hw::PerfCounters counters;
+};
+
+CpeSlot walk_cpe(const TileExecArgs& args, const TileAssignment& assignment,
+                 int cpe_id, const hw::CostModel& cost, hw::Ldm& ldm) {
+  CpeSlot slot;
+  const kern::KernelVariants& kernel = *args.kernel;
+  const grid::Tiling tiling(args.patch_cells, kernel.tile_shape);
+  const auto cpe = static_cast<std::size_t>(cpe_id);
+  const std::vector<int>& mine = assignment.tiles_per_cpe[cpe];
+  const int grabs = assignment.grabs_per_cpe[cpe];
+  const bool strided = !args.packed_tiles;
+  // athread_get/athread_put and the kernel, charged as a CPE did.
+  auto dma_cost = [&](std::size_t bytes) {
+    return cost.cpe_dma(bytes, cost.params().cpes_per_cg, strided);
   };
+  auto get = [&](std::size_t bytes) {
+    slot.busy += dma_cost(bytes);
+    slot.counters.dma_bytes_in += bytes;
+  };
+  auto put = [&](std::size_t bytes) {
+    slot.busy += dma_cost(bytes);
+    slot.counters.dma_bytes_out += bytes;
+  };
+  auto compute = [&](std::uint64_t cells, const hw::KernelCost& kc) {
+    slot.busy +=
+        cost.cpe_compute(cells, kc, args.vectorize, kernel.use_ieee_exp);
+    slot.counters.count_kernel_cells(cells, kc);
+  };
+  hw::PerfCounters counted;
+  slot.busy += static_cast<TimePs>(grabs) * cost.cpe_faaw();
+  counted.tile_grabs = static_cast<std::uint64_t>(grabs);
+  const hw::KernelCost base = kernel.cost.scaled(args.cost_scale);
+  auto tile_cost = [&](const grid::Box& tile) {
+    return kernel.tile_cost_scale ? base.scaled(kernel.scale_for_tile(tile))
+                                  : base;
+  };
+  auto dma_error = [&](int t) {
+    return args.fault.plan != nullptr &&
+           args.fault.plan->dma_error(args.fault.incarnation, args.fault.rank,
+                                      args.fault.step, args.fault.task, t);
+  };
+  auto in_bytes = [&](int t) {
+    return static_cast<std::size_t>(
+               tiling.tile(t).grown(kernel.ghost).volume()) *
+           sizeof(double);
+  };
+  auto out_bytes = [&](int t) {
+    return static_cast<std::size_t>(tiling.tile(t).volume()) * sizeof(double);
+  };
+  if (!args.async_dma) {
+    for (int t : mine) {
+      const grid::Box tile = tiling.tile(t);
+      slot.busy += cost.cpe_tile_overhead();
+      ldm.reset();
+      (void)ldm.alloc<double>(in_bytes(t) / sizeof(double));
+      (void)ldm.alloc<double>(out_bytes(t) / sizeof(double));
+      get(in_bytes(t));
+      if (dma_error(t)) {
+        get(in_bytes(t));
+        counted.fault_injected += 1;
+        counted.fault_retries += 1;
+      }
+      compute(static_cast<std::uint64_t>(tile.volume()), tile_cost(tile));
+      put(out_bytes(t));
+      counted.tiles_executed += 1;
+    }
+  } else if (!mine.empty()) {
+    std::size_t max_in = 0, max_out = 0;
+    for (int t : mine) {
+      max_in = std::max(max_in, in_bytes(t) / sizeof(double));
+      max_out = std::max(max_out, out_bytes(t) / sizeof(double));
+    }
+    ldm.reset();
+    for (std::size_t count : {max_in, max_in, max_out, max_out})
+      (void)ldm.alloc<double>(count);
+    const std::size_t n = mine.size();
+    for (std::size_t i = 0; i < n; ++i) {
+      const int t = mine[i];
+      const grid::Box tile = tiling.tile(t);
+      counted.dma_bytes_in += in_bytes(t);
+      counted.dma_bytes_out += out_bytes(t);
+      counted.count_kernel_cells(static_cast<std::uint64_t>(tile.volume()),
+                                 tile_cost(tile));
+      counted.tiles_executed += 1;
+      if (dma_error(t)) {
+        slot.busy += dma_cost(in_bytes(t));
+        counted.fault_injected += 1;
+        counted.fault_retries += 1;
+      }
+      if (i == 0) slot.busy += dma_cost(in_bytes(t));
+      TimePs overlapped = 0;
+      if (i + 1 < n) overlapped += dma_cost(in_bytes(mine[i + 1]));
+      if (i > 0) overlapped += dma_cost(out_bytes(mine[i - 1]));
+      const TimePs compute_time =
+          cost.cpe_tile_overhead() +
+          cost.cpe_compute(static_cast<std::uint64_t>(tile.volume()),
+                           tile_cost(tile), args.vectorize,
+                           kernel.use_ieee_exp);
+      slot.busy += std::max(compute_time, overlapped);
+    }
+    slot.busy += dma_cost(out_bytes(mine.back()));
+  }
+  slot.counters.merge(counted);
+  return slot;
+}
+
+/// Every CPE's walk, in CPE-id order: busy times and flops per CPE, the
+/// integer counters summed, the shape a cluster takes an offload in.
+struct Walked {
+  std::vector<TimePs> busy;
+  std::vector<double> flops;
+  hw::PerfCounters totals;
+};
+
+Walked reference_walk(const TileExecArgs& args,
+                      const TileAssignment& assignment,
+                      const hw::CostModel& cost) {
+  Walked walked;
+  hw::Ldm ldm(cost.params().ldm_bytes);
+  for (int cpe = 0; cpe < assignment.n_cpes(); ++cpe) {
+    CpeSlot slot = walk_cpe(args, assignment, cpe, cost, ldm);
+    walked.busy.push_back(slot.busy);
+    walked.flops.push_back(std::exchange(slot.counters.counted_flops, 0.0));
+    walked.totals.merge(slot.counters);
+  }
+  return walked;
 }
 
 /// One offload's per-CPE busy times and merged counters.
@@ -379,12 +428,12 @@ struct Charged {
 };
 
 Charged run_offload(const hw::CostModel& cost, athread::Backend backend,
-                    athread::WorkerPool* pool, const athread::CpeJob& job) {
+                    athread::WorkerPool* pool, const athread::Offload& offload) {
   Charged charged;
   sim::run_ranks(1, [&](sim::Coordinator& coord, int rank) {
     athread::CpeCluster cluster(cost, coord, rank, &charged.counters, 1,
                                 backend, pool);
-    cluster.spawn(job);
+    cluster.spawn(offload);
     charged.busy = cluster.cpe_busy();
     cluster.join();
   });
@@ -423,16 +472,18 @@ TEST(TileExec, PlanChargeMatchesPerTileWalk) {
                 // Inexact flop products make the flop sums order-sensitive.
                 args.cost_scale = 1.37;
                 args.policy = policy;
-                if (inject) args.fault = {&faults, 0, 0, 3, 7};
+                if (inject) args.fault = {&faults, 0, 0, 3, 7, std::nullopt};
                 const grid::Tiling tiling(patch, kv.tile_shape);
                 const auto plan = std::make_shared<const TilePlan>(
                     plan_tile_assignment(args, tiling, 64, 64, cost));
+                std::vector<TimePs> fault_busy;
                 const Charged planned = run_offload(
-                    cost, backend, &pool, make_tile_job(args, plan));
+                    cost, backend, &pool,
+                    tile_offload(args, plan, tiling, 64, cost, fault_busy));
+                const Walked walk = reference_walk(args, plan->assignment, cost);
                 const Charged walked = run_offload(
                     cost, backend, &pool,
-                    reference_job(args, std::make_shared<const TileAssignment>(
-                                            plan->assignment)));
+                    athread::Offload{walk.busy, walk.flops, walk.totals, {}, {}});
                 const std::string label =
                     std::string(to_string(policy)) +
                     (async_dma ? " async" : " sync") +
@@ -489,11 +540,10 @@ TEST(TileExec, TimingOnlyLdmOverflowMatchesFunctional) {
     functional.in = kern::FieldView::of(u0);
     functional.out = kern::FieldView::of(out);
     const std::string walked = resource_error([&] {
-      run_offload(cost, athread::Backend::kSerial, nullptr,
-                  reference_job(functional,
-                                std::make_shared<const TileAssignment>(assign_tiles(
-                                    tiling, 64, TilePolicy::kStaticZ,
-                                    [](int) { return TimePs{1}; }, 0))));
+      reference_walk(functional,
+                     assign_tiles(tiling, 64, TilePolicy::kStaticZ,
+                                  [](int) { return TimePs{1}; }, 0),
+                     cost);
     });
     ASSERT_NE(walked.find("LDM overflow"), std::string::npos) << walked;
     EXPECT_EQ(resource_error([&] {

@@ -144,7 +144,8 @@ TEST(TilePolicy, GuidedPaysFewerGrabsThanDynamic) {
 
 // ---------------------------------------------------------------------------
 // Planner vs executor: under synchronous DMA the virtual clocks the planner
-// accumulates are exactly the busy times the CPEs charge, for every policy.
+// accumulates are exactly the busy times the cluster charges, for every
+// policy.
 
 TEST(TilePolicy, PlannedClocksMatchSyncExecution) {
   const grid::Box patch{{0, 0, 0}, {16, 16, 32}};
@@ -166,7 +167,8 @@ TEST(TilePolicy, PlannedClocksMatchSyncExecution) {
     std::vector<TimePs> busy;
     sim::run_ranks(1, [&](sim::Coordinator& coord, int rank) {
       athread::CpeCluster cluster(cost, coord, rank, &counters);
-      cluster.spawn(make_tile_job(args, plan));
+      std::vector<TimePs> fault_busy;
+      cluster.spawn(tile_offload(args, plan, tiling, 64, cost, fault_busy));
       busy = cluster.cpe_busy();
       cluster.join();
     });
