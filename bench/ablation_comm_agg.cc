@@ -111,7 +111,7 @@ int main() {
   for (const std::string& spec : policies) {
     const Measurement m = run_case(cfg, burgers, row_name("burgers", spec), spec);
     if (spec == "off") off = m;
-    json.add(bench::CaseKey{row_name("burgers", spec), "acc.async", 4},
+    json.add(bench::CaseKey{row_name("burgers", spec), "acc.async", 4, "", ""},
              m.result);
 
     // Invariant: aggregation never changes the logical message stream.
@@ -177,8 +177,8 @@ int main() {
   for (const AppCase& ac : app_cases) {
     const Measurement m_off = run_case(cfg, *ac.app, ac.name + ".off", "off");
     const Measurement m_on = run_case(cfg, *ac.app, ac.name + ".agg", "on");
-    json.add(bench::CaseKey{ac.name + ".off", "acc.async", 4}, m_off.result);
-    json.add(bench::CaseKey{ac.name + ".agg", "acc.async", 4}, m_on.result);
+    json.add(bench::CaseKey{ac.name + ".off", "acc.async", 4, "", ""}, m_off.result);
+    json.add(bench::CaseKey{ac.name + ".agg", "acc.async", 4, "", ""}, m_on.result);
     if (m_on.result.msgs_total != m_off.result.msgs_total ||
         m_on.result.counted_flops != m_off.result.counted_flops ||
         m_on.result.mpi_post_count >= m_off.result.mpi_post_count) {

@@ -102,7 +102,7 @@ int main() {
     const Measurement m = run_case(s);
     if (s.name == "clean") clean_wall = m.mean_step;
     by_case[s.name] = m;
-    json.add(bench::CaseKey{s.name, "acc.async", 2}, m.result);
+    json.add(bench::CaseKey{s.name, "acc.async", 2, "", ""}, m.result);
     table.add_row(
         {s.name, format_duration(m.mean_step),
          TextTable::num(static_cast<double>(m.mean_step) /

@@ -114,7 +114,7 @@ int main() {
       if (policy == sched::TilePolicy::kStaticZ) static_wall = m.mean_step;
       by_case[w.name + "/" + sched::to_string(policy)] = m;
       json.add(bench::CaseKey{w.name, std::string("acc.async+") +
-                                           sched::to_string(policy), 4},
+                                           sched::to_string(policy), 4, "", ""},
                m.result);
       table.add_row(
           {w.name, std::to_string(tiling.num_tiles()),

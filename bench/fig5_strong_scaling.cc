@@ -188,7 +188,7 @@ int main(int argc, char** argv) {
       for (const auto& vname : variants) {
         const auto& res =
             sweep.run(problem, runtime::variant_by_name(vname), cgs);
-        json.add({problem.name, vname, cgs}, res);
+        json.add({problem.name, vname, cgs, "", ""}, res);
         row.push_back(format_duration(res.mean_step));
       }
       table.add_row(std::move(row));

@@ -5,7 +5,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "kern/fastexp.h"
 #include "sched/tile_exec.h"
 #include "sim/coordinator.h"
+#include "sim/fiber.h"
 #include "support/rng.h"
 #include "var/ccvariable.h"
 
@@ -147,6 +150,58 @@ void BM_GrantHandoff(benchmark::State& state) {
       grants, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
 }
 BENCHMARK(BM_GrantHandoff)->Arg(2)->Arg(1024)->UseRealTime()->Unit(benchmark::kMillisecond);
+
+void BM_WindowOpen(benchmark::State& state) {
+  // Host cost of one window while all but two ranks stay parked on a
+  // scan-derived wake (a wait with a refresh, as comm waits park): ranks 0
+  // and 1 step one window per gate, the rest wait for a wake past the
+  // end. Timed inside the run, from the third window to the last, so
+  // fiber setup is excluded; reported as time per_window.
+  constexpr TimePs kWindow = 10;
+  constexpr int kWindows = 2000;
+  constexpr int kTimed = kWindows - 2;
+  const int nranks = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    std::chrono::steady_clock::time_point start;
+    std::chrono::steady_clock::time_point stop;
+    sim::run_ranks(
+        nranks,
+        [&](sim::Coordinator& c, int r) {
+          if (r >= 2) {
+            const std::function<TimePs()> refresh = [] { return sim::kNever; };
+            c.wait_until(r, (kWindows + 1) * kWindow, refresh);
+            return;
+          }
+          for (int i = 0; i < kWindows; ++i) {
+            c.advance(r, kWindow);
+            c.gate(r);
+            if (r == 0 && i == 1) start = std::chrono::steady_clock::now();
+          }
+          if (r == 0) stop = std::chrono::steady_clock::now();
+        },
+        nullptr, kWindow);
+    state.SetIterationTime(std::chrono::duration<double>(stop - start).count());
+  }
+  const double windows = static_cast<double>(state.iterations()) * kTimed;
+  state.counters["per_window"] = benchmark::Counter(
+      windows, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_WindowOpen)->Arg(16)->Arg(1024)->UseManualTime()->Unit(benchmark::kMillisecond);
+
+void BM_FiberSwitch(benchmark::State& state) {
+  // One resume + yield round trip of a rank fiber: the context-switch
+  // half of a grant handoff.
+  bool stop = false;
+  sim::Fiber* self = nullptr;
+  sim::Fiber fiber([&] {
+    while (!stop) self->yield();
+  });
+  self = &fiber;
+  for (auto _ : state) fiber.resume();
+  stop = true;
+  fiber.resume();
+}
+BENCHMARK(BM_FiberSwitch);
 
 void BM_OffloadPlan(benchmark::State& state) {
   // Host cost of planning one offload of the paper's 128x128x512 patch

@@ -113,10 +113,10 @@ int main(int argc, char** argv) {
                    cgs, serial_agg.mpi_post_count, serial.mpi_post_count);
       mismatch = true;
     }
-    json.add({problem.name, variant.name + "@serial", cgs}, serial);
-    json.add({problem.name, variant.name + "@parallel", cgs}, parallel);
-    json.add({problem.name, variant.name + "@serial+agg", cgs}, serial_agg);
-    json.add({problem.name, variant.name + "@parallel+agg", cgs},
+    json.add({problem.name, variant.name + "@serial", cgs, "", ""}, serial);
+    json.add({problem.name, variant.name + "@parallel", cgs, "", ""}, parallel);
+    json.add({problem.name, variant.name + "@serial+agg", cgs, "", ""}, serial_agg);
+    json.add({problem.name, variant.name + "@parallel+agg", cgs, "", ""},
              parallel_agg);
 
     char speedup[32];

@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "support/build_info.h"
+#include "support/error.h"
 
 namespace usw::obs {
 
@@ -44,6 +45,7 @@ DiagHub::Source& DiagHub::Source::operator=(Source&& other) noexcept {
   if (this != &other) {
     reset();
     hub_ = other.hub_;
+    rank_ = other.rank_;
     id_ = other.id_;
     other.hub_ = nullptr;
   }
@@ -51,29 +53,34 @@ DiagHub::Source& DiagHub::Source::operator=(Source&& other) noexcept {
 }
 
 void DiagHub::Source::reset() {
-  if (hub_ != nullptr) hub_->remove_source(id_);
+  if (hub_ != nullptr) hub_->remove_source(rank_, id_);
   hub_ = nullptr;
 }
 
 DiagHub::DiagHub(const DiagConfig& config, int nranks)
-    : config_(config), coord_ring_(config.flight_capacity) {
+    : config_(config),
+      coord_ring_(config.flight_capacity),
+      sources_(static_cast<std::size_t>(nranks)) {
   rank_rings_.reserve(static_cast<std::size_t>(nranks));
   for (int r = 0; r < nranks; ++r)
     rank_rings_.push_back(std::make_unique<FlightRecorder>(config.flight_capacity));
 }
 
 DiagHub::Source DiagHub::add_source(int rank, SourceFn fn) {
+  USW_ASSERT_MSG(rank >= 0 && rank < nranks(), "diagnostic source for an unknown rank");
   std::lock_guard<std::mutex> lk(mu_);
   const std::uint64_t id = next_source_id_++;
-  sources_.push_back(SourceEntry{id, rank, std::move(fn)});
-  return Source(this, id);
+  sources_[static_cast<std::size_t>(rank)].push_back(SourceEntry{id, std::move(fn)});
+  return Source(this, rank, id);
 }
 
-void DiagHub::remove_source(std::uint64_t id) {
+void DiagHub::remove_source(int rank, std::uint64_t id) {
   std::lock_guard<std::mutex> lk(mu_);
-  sources_.erase(std::remove_if(sources_.begin(), sources_.end(),
-                                [id](const SourceEntry& e) { return e.id == id; }),
-                 sources_.end());
+  std::vector<SourceEntry>& list = sources_[static_cast<std::size_t>(rank)];
+  const auto it = std::find_if(list.begin(), list.end(),
+                               [id](const SourceEntry& e) { return e.id == id; });
+  USW_ASSERT_MSG(it != list.end(), "removing an unregistered diagnostic source");
+  list.erase(it);
 }
 
 void DiagHub::on_rank_pick(int rank, int candidates, TimePs time) {
@@ -134,7 +141,13 @@ void DiagHub::write_dump_locked(std::ostream& os, const char* what,
   w.kv("diag", what);
   w.kv("reason", reason);
   write_provenance(w);
+  // Ranks RUNNING at the crash: their sources point at state that may be
+  // concurrently mutated (cancel raised by a throwing rank).
+  std::vector<bool> running(static_cast<std::size_t>(nranks()), false);
   if (status != nullptr) {
+    for (const sim::RankStatus& rs : *status)
+      if (rs.state == 'R' && rs.rank >= 0 && rs.rank < nranks())
+        running[static_cast<std::size_t>(rs.rank)] = true;
     w.key("ranks_status").begin_array();
     for (const sim::RankStatus& rs : *status) {
       w.begin_object();
@@ -160,17 +173,10 @@ void DiagHub::write_dump_locked(std::ostream& os, const char* what,
     w.begin_object();
     w.kv("rank", r);
     write_ring(w, *rank_rings_[static_cast<std::size_t>(r)]);
-    // A source for a currently-RUNNING rank points at state that may be
-    // concurrently mutated (cancel raised by a throwing rank); skip it.
-    bool running = false;
-    if (status != nullptr)
-      for (const sim::RankStatus& rs : *status)
-        if (rs.rank == r && rs.state == 'R') running = true;
-    if (running) {
+    if (running[static_cast<std::size_t>(r)]) {
       w.kv("snapshot", "skipped (rank still running at crash)");
     } else {
-      for (const SourceEntry& src : sources_)
-        if (src.rank == r) src.fn(w);
+      for (const SourceEntry& src : sources_[static_cast<std::size_t>(r)]) src.fn(w);
     }
     w.end_object();
   }

@@ -68,8 +68,9 @@ class DiagHub final : public sim::DiagSink {
   class Source {
    public:
     Source() = default;
-    Source(DiagHub* hub, std::uint64_t id) : hub_(hub), id_(id) {}
-    Source(Source&& other) noexcept : hub_(other.hub_), id_(other.id_) {
+    Source(DiagHub* hub, int rank, std::uint64_t id) : hub_(hub), rank_(rank), id_(id) {}
+    Source(Source&& other) noexcept
+        : hub_(other.hub_), rank_(other.rank_), id_(other.id_) {
       other.hub_ = nullptr;
     }
     Source& operator=(Source&& other) noexcept;
@@ -80,9 +81,12 @@ class DiagHub final : public sim::DiagSink {
 
    private:
     DiagHub* hub_ = nullptr;
+    int rank_ = 0;
     std::uint64_t id_ = 0;
   };
 
+  /// Registers a source for `rank` (0 <= rank < nranks()); a rank's
+  /// sources write in registration order.
   Source add_source(int rank, SourceFn fn);
 
   // sim::DiagSink — called with the coordinator lock held.
@@ -101,7 +105,7 @@ class DiagHub final : public sim::DiagSink {
 
  private:
   friend class Source;
-  void remove_source(std::uint64_t id);
+  void remove_source(int rank, std::uint64_t id);
   void write_dump_locked(std::ostream& os, const char* what, const std::string& reason,
                          const std::vector<sim::RankStatus>* status,
                          const HostProfile* host);
@@ -112,12 +116,13 @@ class DiagHub final : public sim::DiagSink {
 
   struct SourceEntry {
     std::uint64_t id;
-    int rank;
     SourceFn fn;
   };
 
   mutable std::mutex mu_;
-  std::vector<SourceEntry> sources_;
+  /// Per rank, in registration order: adding, removing and dumping a
+  /// rank's sources never walks another rank's.
+  std::vector<std::vector<SourceEntry>> sources_;
   std::uint64_t next_source_id_ = 1;
   bool crashed_ = false;
   std::string crash_path_written_;

@@ -137,7 +137,7 @@ ReplayController::ReplayController(ScheduleSpec spec)
   std::string magic;
   std::string version;
   if (!(is >> magic >> version) || magic != kFileMagic ||
-      version != "v" + std::to_string(kFileVersion))
+      version != std::string("v") + std::to_string(kFileVersion))
     throw ConfigError("--schedule: '" + path + "' is not an " +
                       std::string(kFileMagic) + " v" +
                       std::to_string(kFileVersion) + " schedule file");

@@ -173,12 +173,15 @@ void Coordinator::notify(int rank, TimePs stamp, int src) {
   // resolves the record (resolve_notifies) at its next wait or at the
   // window barrier, whichever the rule demands.
   USW_ASSERT_MSG(src >= 0 && src < size(), "notify requires the posting rank");
-  const TimePs seg = ranks_.at(static_cast<std::size_t>(src)).seg_start;
+  RankSlot& sender = ranks_[static_cast<std::size_t>(src)];
   {
     std::lock_guard<std::mutex> lk(slot.notify_mu);
-    slot.pending.push_back(NotifyRec{seg, src, stamp});
+    slot.pending.push_back(NotifyRec{sender.seg_start, src, stamp});
   }
   slot.has_notify.store(true, std::memory_order_release);
+  // Owner-written while the sender runs; the barrier reads it once every
+  // rank is parked, to visit this target.
+  sender.notified.push_back(rank);
 }
 
 TimePs Coordinator::resolve_notifies(int rank, RankSlot& slot, TimePs park_clock,
@@ -313,36 +316,6 @@ void Coordinator::set_schedule(schedpt::ScheduleController* schedule,
   }
 }
 
-Coordinator::MinScan Coordinator::min_eligibility_locked() const {
-  MinScan scan;
-  for (int r = 0; r < size(); ++r) {
-    const RankSlot& slot = ranks_[static_cast<std::size_t>(r)];
-    switch (slot.state) {
-      case State::kReady:
-        scan.any_unfinished = true;
-        if (slot.clock.load(std::memory_order_relaxed) < scan.best_time) {
-          scan.best = r;
-          scan.best_time = slot.clock.load(std::memory_order_relaxed);
-        }
-        break;
-      case State::kWaiting:
-        scan.any_unfinished = true;
-        if (slot.wake != kNever && slot.wake < scan.best_time) {
-          scan.best = r;
-          scan.best_time = slot.wake;
-        }
-        break;
-      case State::kUnstarted:
-      case State::kRunning:
-        USW_ASSERT_MSG(false, "eligibility scan with a running or unstarted rank");
-        break;
-      case State::kFinished:
-        break;
-    }
-  }
-  return scan;
-}
-
 std::string Coordinator::deadlock_message_locked() const {
   // Every unfinished rank is waiting on kNever: no event can ever fire.
   std::ostringstream os;
@@ -373,115 +346,192 @@ bool Coordinator::watchdog_trips_locked(int best, TimePs best_time) {
   return false;
 }
 
+bool Coordinator::index_less(const Eligible& a, const Eligible& b) {
+  return grant_order_less(a.eff, a.rank, b.eff, b.rank);
+}
+
+void Coordinator::index_place(std::size_t i, Eligible e) {
+  eligible_[i] = e;
+  ranks_[static_cast<std::size_t>(e.rank)].heap_pos = static_cast<int>(i);
+}
+
+void Coordinator::index_sift_up(std::size_t i) {
+  const Eligible e = eligible_[i];
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!index_less(e, eligible_[parent])) break;
+    index_place(i, eligible_[parent]);
+    i = parent;
+  }
+  index_place(i, e);
+}
+
+void Coordinator::index_sift_down(std::size_t i) {
+  const Eligible e = eligible_[i];
+  const std::size_t n = eligible_.size();
+  for (;;) {
+    std::size_t child = 2 * i + 1;
+    if (child >= n) break;
+    if (child + 1 < n && index_less(eligible_[child + 1], eligible_[child])) ++child;
+    if (!index_less(eligible_[child], e)) break;
+    index_place(i, eligible_[child]);
+    i = child;
+  }
+  index_place(i, e);
+}
+
+void Coordinator::index_set_locked(int rank, TimePs eff) {
+  RankSlot& slot = ranks_[static_cast<std::size_t>(rank)];
+  if (slot.heap_pos < 0) {
+    if (eff == kNever) return;
+    eligible_.push_back(Eligible{eff, rank});
+    index_sift_up(eligible_.size() - 1);
+    return;
+  }
+  const auto i = static_cast<std::size_t>(slot.heap_pos);
+  const TimePs old = eligible_[i].eff;
+  if (eff == kNever) {
+    slot.heap_pos = -1;
+    const Eligible last = eligible_.back();
+    eligible_.pop_back();
+    if (last.rank == rank) return;
+    index_place(i, last);
+    index_sift_up(i);
+    index_sift_down(static_cast<std::size_t>(ranks_[static_cast<std::size_t>(last.rank)].heap_pos));
+    return;
+  }
+  eligible_[i].eff = eff;
+  if (eff < old)
+    index_sift_up(i);
+  else if (eff > old)
+    index_sift_down(i);
+}
+
+void Coordinator::visit_locked(int rank, bool parked_now) {
+  RankSlot& slot = ranks_[static_cast<std::size_t>(rank)];
+  if (slot.visited == barrier_serial_) return;
+  slot.visited = barrier_serial_;
+  switch (slot.state) {
+    case State::kWaiting: {
+      const bool mailed = slot.has_notify.load(std::memory_order_acquire);
+      const TimePs clock = slot.clock.load(std::memory_order_relaxed);
+      slot.wake = resolve_notifies(rank, slot, clock, slot.wake, true);
+      // Scan-derived wakes are recomputed here, where every push of the
+      // closed window is mutex-ordered before us: an in-window scan can
+      // race a concurrent sender whose grant position precedes it, and
+      // the notify fold above intentionally drops that class of record
+      // (see the 3-arg wait_until). Clamped to the park clock — the
+      // min-clock order would spin at the clock, never park below it.
+      // The scan reads the rank's own requests, frozen while it is
+      // parked, and its mailbox, which only grows by pushes that each
+      // notify it: past the first barrier after the park, an unmailed
+      // rescan would return what was already folded in.
+      if (slot.wake_fn != nullptr && (parked_now || mailed))
+        slot.wake = std::min(slot.wake, std::max((*slot.wake_fn)(), clock));
+      index_set_locked(rank, slot.wake);
+      break;
+    }
+    case State::kReady: {
+      const TimePs clock = slot.clock.load(std::memory_order_relaxed);
+      resolve_notifies(rank, slot, clock, kNever, false);
+      index_set_locked(rank, clock);
+      break;
+    }
+    case State::kFinished:
+      // Notifies to finished ranks are dropped.
+      if (slot.has_notify.load(std::memory_order_acquire)) {
+        std::lock_guard<std::mutex> nlk(slot.notify_mu);
+        slot.pending.clear();
+        slot.has_notify.store(false, std::memory_order_relaxed);
+      }
+      slot.retained.clear();
+      break;
+    case State::kUnstarted:
+    case State::kRunning:
+      break;
+  }
+}
+
 void Coordinator::open_window_locked() {
   USW_ASSERT(active_ == 0);
   if (cancelled_.load(std::memory_order_relaxed)) return;
-  grant_queue_.clear();
-  grant_next_ = 0;
   // Resolve the notify records posted since the last barrier. Every rank
   // is parked, so the grant-order rule (resolve_notifies) can be
   // applied authoritatively: waiters may have their wake lowered, gate
   // parks drop everything up to their re-grant, and records positioned
-  // after a rank's wake stay retained for its next wait.
-  for (int r = 0; r < size(); ++r) {
-    RankSlot& slot = ranks_[static_cast<std::size_t>(r)];
-    switch (slot.state) {
-      case State::kWaiting: {
-        const TimePs clock = slot.clock.load(std::memory_order_relaxed);
-        slot.wake = resolve_notifies(r, slot, clock, slot.wake, true);
-        // Scan-derived wakes are recomputed here, where every push of the
-        // closed window is mutex-ordered before us: an in-window scan can
-        // race a concurrent sender whose grant position precedes it, and
-        // the notify fold above intentionally drops that class of record
-        // (see the 3-arg wait_until). Clamped to the park clock — the
-        // min-clock order would spin at the clock, never park below it.
-        if (slot.wake_fn != nullptr)
-          slot.wake =
-              std::min(slot.wake, std::max((*slot.wake_fn)(), clock));
-        break;
-      }
-      case State::kReady:
-        resolve_notifies(r, slot,
-                         slot.clock.load(std::memory_order_relaxed), kNever,
-                         false);
-        break;
-      case State::kFinished:
-        // Notifies to finished ranks are dropped.
-        if (slot.has_notify.load(std::memory_order_acquire)) {
-          std::lock_guard<std::mutex> nlk(slot.notify_mu);
-          slot.pending.clear();
-          slot.has_notify.store(false, std::memory_order_relaxed);
-        }
-        slot.retained.clear();
-        break;
-      case State::kUnstarted:
-      case State::kRunning:
-        break;
-    }
+  // after a rank's wake stay retained for its next wait. Only two kinds
+  // of rank can have changed since their last visit: those that ran in
+  // the closed window, and the targets of that window's notifies. For
+  // every other rank the resolve is a no-op (no new records; a lowered
+  // wake applies none of the retained ones) and its index key stands.
+  ++barrier_serial_;
+  for (const int r : grant_queue_) visit_locked(r, true);
+  for (const int r : grant_queue_) {
+    std::vector<int>& targets = ranks_[static_cast<std::size_t>(r)].notified;
+    for (const int t : targets) visit_locked(t, false);
+    targets.clear();
   }
-  const MinScan scan = min_eligibility_locked();
-  if (scan.best < 0) {
-    if (!scan.any_unfinished) return;  // everyone done
+  grant_queue_.clear();
+  grant_next_ = 0;
+  if (eligible_.empty()) {
+    if (live_ == 0) return;  // everyone done
+    // Every unfinished rank is waiting on kNever.
     crash_locked(deadlock_message_locked());
     return;
   }
-  if (watchdog_trips_locked(scan.best, scan.best_time)) return;
+  const int best = eligible_.front().rank;
+  const TimePs best_time = eligible_.front().eff;
+  if (watchdog_trips_locked(best, best_time)) return;
   // Window [best_time, best_time + window_): strictness keeps it causal
   // (a message sent at S >= best_time arrives at S + window_ >= the window
   // end, so no in-window rank can observe another's sends).
-  const TimePs end = scan.best_time > kNever - window_
-                         ? kNever
-                         : scan.best_time + window_;
+  const TimePs end = best_time > kNever - window_ ? kNever : best_time + window_;
   window_end_.store(end, std::memory_order_relaxed);
-  struct Grant {
-    TimePs time;
-    int rank;
-  };
-  // Ranks strictly inside the window; under a schedule controller (window
-  // 0) the kRankPick candidates strictly inside the lookahead instead (see
-  // set_schedule for the causality argument).
-  const TimePs horizon = schedule_ != nullptr ? lookahead_ : window_;
-  std::vector<Grant> grants;
-  for (int r = 0; r < size(); ++r) {
-    const RankSlot& slot = ranks_[static_cast<std::size_t>(r)];
-    TimePs eff = kNever;
-    if (slot.state == State::kReady)
-      eff = slot.clock.load(std::memory_order_relaxed);
-    else if (slot.state == State::kWaiting && slot.wake != kNever)
-      eff = slot.wake;
-    if (eff != kNever && (r == scan.best || eff - scan.best_time < horizon))
-      grants.push_back(Grant{eff, r});
-  }
   int candidates = 1;
   if (schedule_ != nullptr) {
-    // Schedule point: candidate 0 is the canonical min-clock/min-rank
-    // choice so default == index 0; the rest follow in rank order. The
-    // window holds just the chosen rank.
-    const auto best = std::find_if(grants.begin(), grants.end(), [&](const Grant& g) {
-      return g.rank == scan.best;
-    });
-    std::rotate(grants.begin(), best, best + 1);
-    candidates = static_cast<int>(grants.size());
+    // Schedule point over the ranks strictly inside the lookahead (see
+    // set_schedule for the causality argument): candidate 0 is the
+    // canonical min-clock/min-rank choice so default == index 0; the rest
+    // follow in rank order. The window holds just the chosen rank. The
+    // heap walk prunes at the first key past the lookahead: a child's key
+    // is never below its parent's.
+    std::vector<int> picks;
+    std::vector<std::size_t> stack{0};
+    while (!stack.empty()) {
+      const std::size_t i = stack.back();
+      stack.pop_back();
+      const int r = eligible_[i].rank;
+      if (r != best && eligible_[i].eff - best_time >= lookahead_) continue;
+      if (r != best) picks.push_back(r);
+      for (std::size_t c = 2 * i + 1; c <= 2 * i + 2 && c < eligible_.size(); ++c)
+        stack.push_back(c);
+    }
+    std::sort(picks.begin(), picks.end());
+    picks.insert(picks.begin(), best);
+    candidates = static_cast<int>(picks.size());
     const int pick =
-        schedule_->choose(schedpt::PointKind::kRankPick, scan.best, candidates);
-    const Grant chosen = grants[static_cast<std::size_t>(pick)];
-    grants.assign(1, chosen);
+        schedule_->choose(schedpt::PointKind::kRankPick, best, candidates);
+    grant_queue_.push_back(picks[static_cast<std::size_t>(pick)]);
+    index_set_locked(grant_queue_.back(), kNever);
+  } else {
+    // Every rank strictly inside the window, popped in (time, rank id)
+    // order so the diagnostic pick ring and the capped rollout follow the
+    // minimum-clock sequence.
+    do {
+      const int r = eligible_.front().rank;
+      grant_queue_.push_back(r);
+      index_set_locked(r, kNever);
+    } while (!eligible_.empty() && eligible_.front().eff - best_time < window_);
   }
-  // Grant in (time, rank id) order so the diagnostic pick ring and the
-  // capped rollout follow the minimum-clock sequence.
-  std::sort(grants.begin(), grants.end(), [](const Grant& a, const Grant& b) {
-    return a.time != b.time ? a.time < b.time : a.rank < b.rank;
-  });
-  grant_queue_.reserve(grants.size());
-  for (const Grant& g : grants) grant_queue_.push_back(g.rank);
   while (grant_next_ < grant_queue_.size() && active_ < max_concurrent_)
     grant_locked(grant_queue_[grant_next_++], candidates);
 }
 
 void Coordinator::grant_locked(int rank, int candidates) {
   RankSlot& slot = ranks_[static_cast<std::size_t>(rank)];
-  USW_ASSERT_MSG(slot.state == State::kReady || slot.state == State::kWaiting,
-                 "granting a rank that is not parked");
+  USW_ASSERT_MSG((slot.state == State::kReady || slot.state == State::kWaiting) &&
+                     slot.heap_pos < 0,
+                 "granting a rank that is not parked or still indexed");
   if (slot.state == State::kWaiting) {
     slot.clock.store(
         std::max(slot.clock.load(std::memory_order_relaxed), slot.wake),
@@ -614,9 +664,11 @@ void Coordinator::run(const std::function<void(Coordinator&, int)>& body) {
         std::make_unique<Fiber>([this, &body, r] { run_rank(body, r); }));
   {
     std::lock_guard<std::mutex> lk(lock_);
-    for (RankSlot& slot : ranks_) {
+    for (int r = 0; r < size(); ++r) {
+      RankSlot& slot = ranks_[static_cast<std::size_t>(r)];
       slot.state = State::kReady;
       slot.clock.store(0, std::memory_order_relaxed);
+      index_set_locked(r, 0);
     }
     started_ = size();
     live_ = size();

@@ -41,11 +41,21 @@
 // pops it and switches into its fiber. A parking rank only records how it
 // parks and switches back to its carrier, which then applies the park
 // under the lock (so a rank is never re-granted while still on a stack)
-// and switches into the next queued grant: a handoff is a user-space
-// context switch, not a kernel wake. When the last active rank of a window
-// parks, its carrier opens the next window and wakes at most cap - 1 idle
-// carriers. Cancellation resumes every parked fiber once so it throws
-// Cancelled and unwinds its own stack.
+// and switches into the next queued grant: a handoff is a fiber switch
+// (sim::Fiber; on x86-64 no system call), not a kernel wake. When the last
+// active rank of a window parks, its carrier opens the next window and
+// wakes at most cap - 1 idle carriers. Cancellation resumes every parked
+// fiber once so it throws Cancelled and unwinds its own stack.
+//
+// Barrier cost. Opening a window costs what changed in the closed one,
+// not the rank count. Parked ranks with a finite eligibility sit in a
+// binary min-heap keyed on (eligibility, rank id): the window minimum is
+// its root, the window's grants pop off it in grant order, and a deadlock
+// is an empty heap while fibers remain. The barrier visits only the ranks
+// that ran in the closed window and the targets of their notifies (each
+// sender lists its targets); every other parked rank has no new notify
+// record and an unchanged mailbox, so resolving it again would change
+// nothing.
 //
 // Notify equivalence (the subtle part). In the min-clock order, a message
 // arrival lowers the target's wake ONLY if the target is kWaiting at the
@@ -248,18 +258,22 @@ class Coordinator {
   /// segments, even at a cap of one), and the pending-notify fold
   /// deliberately drops records positioned before the target's segment on
   /// the assumption the scan covered them. The coordinator therefore
-  /// re-runs `refresh` at every window barrier while the rank is parked —
-  /// all pushes are mutex-ordered by then — and folds the result into the
-  /// wake, restoring exactly the min-clock-order scan. `refresh` must not
-  /// call back into the Coordinator (it runs under the coordinator lock,
-  /// on the carrier that opens the window) and must stay valid until this
-  /// call returns.
+  /// re-runs `refresh` at window barriers while the rank is parked — all
+  /// pushes are mutex-ordered by then — and folds the result into the
+  /// wake, restoring exactly the min-clock-order scan. It re-runs it at
+  /// the first barrier after the park and then only at barriers after a
+  /// notify() to this rank, so the scan may read only the rank's own
+  /// frozen state and shared state that changes only together with a
+  /// notify() to it (a mailbox whose every push is followed by one).
+  /// `refresh` must not call back into the Coordinator (it runs under the
+  /// coordinator lock, on the carrier that opens the window) and must
+  /// stay valid until this call returns.
   void wait_until(int rank, TimePs wake, const std::function<TimePs()>& refresh);
 
   /// Reports an external event for `rank` (e.g. message arrival) stamped at
-  /// virtual time `stamp`. Callable from any granted rank. `src` is the
-  /// posting rank: the record's grant-order position is its segment start
-  /// (see the header comment).
+  /// virtual time `stamp`. `src` is the posting rank, which must be the
+  /// calling, granted rank: the record's grant-order position is its
+  /// segment start (see the header comment).
   void notify(int rank, TimePs stamp, int src);
 
   /// Cancels the simulation; all blocked ranks throw Cancelled.
@@ -339,6 +353,14 @@ class Coordinator {
     /// Carrier bookkeeping, under lock_: in runnable_, or being run.
     bool queued = false;
     bool on_cpu = false;
+    /// Position in eligible_, under lock_ (-1 while absent: running,
+    /// finished, or waiting on kNever).
+    int heap_pos = -1;
+    /// Ranks this rank notified while running (owner-written); the next
+    /// barrier visits them and clears the list.
+    std::vector<int> notified;
+    /// barrier_serial_ of this rank's last barrier visit.
+    std::uint64_t visited = 0;
   };
 
   // ---- The windowed engine. All *_locked require lock_ held. ----
@@ -401,13 +423,25 @@ class Coordinator {
   /// Requires lock_ held.
   void crash_locked(const std::string& why);
 
-  /// Minimum-eligibility scan of open_window_locked.
-  struct MinScan {
-    int best = -1;
-    TimePs best_time = kNever;
-    bool any_unfinished = false;
+  /// Barrier visit of a rank that ran in the closed window (`parked_now`)
+  /// or was notified in it: resolves its notify records, recomputes a
+  /// scan-derived wake when it could have changed, and re-keys the rank in
+  /// the eligibility index. At most once per barrier.
+  void visit_locked(int rank, bool parked_now);
+  /// Sets `rank`'s eligibility key: inserts or moves it in eligible_, or
+  /// removes it when `eff` is kNever.
+  void index_set_locked(int rank, TimePs eff);
+  /// An eligibility index entry: a parked rank and its eligibility (clock
+  /// when ready, wake when waiting).
+  struct Eligible {
+    TimePs eff;
+    int rank;
   };
-  MinScan min_eligibility_locked() const;
+  /// Grant order on index entries.
+  static bool index_less(const Eligible& a, const Eligible& b);
+  void index_place(std::size_t i, Eligible e);
+  void index_sift_up(std::size_t i);
+  void index_sift_down(std::size_t i);
   /// Builds the "virtual-time deadlock: ..." message.
   std::string deadlock_message_locked() const;
   /// True (and crashes) when granting at `best_time` trips the watchdog.
@@ -429,6 +463,11 @@ class Coordinator {
   TimePs window_ = 0;       ///< lookahead window width
   std::atomic<TimePs> window_end_{0};
   int started_ = 0;  ///< ranks started (run() starts them all at once)
+  /// Parked ranks with a finite eligibility: a binary min-heap on
+  /// (eligibility, rank id), so the window minimum is the root and a
+  /// window's grants pop in grant order.
+  std::vector<Eligible> eligible_;
+  std::uint64_t barrier_serial_ = 0;  ///< window barriers so far
   int active_ = 0;   ///< granted-and-not-parked ranks this window
   std::vector<int> grant_queue_;  ///< this window's grants, in grant order
   std::size_t grant_next_ = 0;    ///< first not-yet-granted queue entry

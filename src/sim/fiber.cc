@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdint>
 #include <exception>
 #include <string>
 #include <system_error>
@@ -21,12 +22,33 @@
 #define USW_FIBER_TSAN 1
 #endif
 
+#if defined(__x86_64__)
+extern "C" void usw_fiber_switch(void** save_sp, void* load_sp);
+#endif
+
 namespace usw::sim {
 
 namespace {
 
-/// The fiber being entered for the first time on this thread: makecontext
-/// passes no pointer portably, so resume() leaves it here for entry().
+/// Saves the running context into `from` and resumes `to`.
+#if defined(__x86_64__)
+void switch_context(void** from, void* const* to) { usw_fiber_switch(from, *to); }
+
+/// The calling thread's MXCSR (low 32 bits) and x87 control word (next
+/// 16), laid out as usw_fiber_switch stores them.
+std::uint64_t fp_control_word() {
+  std::uint32_t mxcsr = 0;
+  std::uint16_t x87 = 0;
+  __asm__ volatile("stmxcsr %0" : "=m"(mxcsr));
+  __asm__ volatile("fnstcw %0" : "=m"(x87));
+  return mxcsr | (static_cast<std::uint64_t>(x87) << 32);
+}
+#else
+void switch_context(ucontext_t* from, const ucontext_t* to) { swapcontext(from, to); }
+#endif
+
+/// The fiber being entered for the first time on this thread: the first
+/// switch passes no argument, so resume() leaves it here for entry().
 thread_local Fiber* t_entering = nullptr;
 
 std::size_t page_size() {
@@ -73,6 +95,19 @@ Fiber::Fiber(std::function<void()> body) : body_(std::move(body)) {
     munmap(map_, map_size_);
     throw ResourceError("cannot guard a fiber stack: " + why);
   }
+#if defined(__x86_64__)
+  // The first switch pops usw_fiber_switch's frame (see its layout) from
+  // the top of the stack and returns into entry() with the stack pointer
+  // 8 below a 16-byte boundary, as after a call. The FP control state is
+  // the creating thread's, as getcontext would capture it; the slot above
+  // the return address is entry()'s (never used) return address.
+  auto* frame = reinterpret_cast<std::uint64_t*>(static_cast<char*>(map_) + map_size_) - 9;
+  frame[0] = fp_control_word();
+  for (int i = 1; i <= 6; ++i) frame[i] = 0;  // r15, r14, r13, r12, rbx, rbp
+  frame[7] = reinterpret_cast<std::uintptr_t>(&Fiber::entry);
+  frame[8] = 0;
+  ctx_ = frame;
+#else
   if (getcontext(&ctx_) != 0) {
     const std::string why = errno_message();
     munmap(map_, map_size_);
@@ -82,6 +117,7 @@ Fiber::Fiber(std::function<void()> body) : body_(std::move(body)) {
   ctx_.uc_stack.ss_size = stack;
   ctx_.uc_link = nullptr;
   makecontext(&ctx_, &Fiber::entry, 0);
+#endif
 #ifdef USW_FIBER_TSAN
   tsan_fiber_ = __tsan_create_fiber(0);
 #endif
@@ -109,7 +145,7 @@ void Fiber::resume() {
   tsan_return_ = __tsan_get_current_fiber();
   __tsan_switch_to_fiber(tsan_fiber_, 0);
 #endif
-  swapcontext(&return_ctx_, &ctx_);
+  switch_context(&return_ctx_, &ctx_);
 #ifdef USW_FIBER_ASAN
   __sanitizer_finish_switch_fiber(fake_stack, nullptr, nullptr);
 #endif
@@ -131,7 +167,7 @@ void Fiber::switch_out([[maybe_unused]] bool final) {
 #ifdef USW_FIBER_TSAN
   __tsan_switch_to_fiber(tsan_return_, 0);
 #endif
-  swapcontext(&ctx_, &return_ctx_);
+  switch_context(&ctx_, &return_ctx_);
   // Resumed, possibly by another thread: record its stack for the next
   // switch back.
 #ifdef USW_FIBER_ASAN

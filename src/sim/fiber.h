@@ -4,11 +4,25 @@
 // rank on.
 //
 // A Fiber owns a guarded stack and a body. resume() switches the calling
-// host thread onto that stack (ucontext swapcontext) and runs the body
-// until it calls yield() or returns; yield() switches back to whichever
-// thread last resumed it. A fiber may therefore be resumed by different
-// threads over its life, one at a time, with the handoff ordered by the
-// caller (the Coordinator's lock).
+// host thread onto that stack and runs the body until it calls yield() or
+// returns; yield() switches back to whichever thread last resumed it. A
+// fiber may therefore be resumed by different threads over its life, one
+// at a time, with the handoff ordered by the caller (the Coordinator's
+// lock).
+//
+// The switch. On x86-64 it is usw_fiber_switch (fiber_switch_x86_64.S):
+// it saves the callee-saved registers, MXCSR and the x87 control word on
+// the stack being left and restores them from the other, so a rounding
+// mode or FP exception mask set inside a fiber stays with that fiber. It
+// makes no system call; the signal mask belongs to the host thread and is
+// not switched. Elsewhere it is ucontext's swapcontext, which also saves
+// the FP environment but issues an rt_sigprocmask per switch.
+//
+// CET shadow stacks. The x86-64 switch returns on a stack the shadow
+// stack never saw, which would fault with shadow stacks enforced. Its
+// object carries no .note.gnu.property, so the linker does not mark the
+// program shadow-stack (or IBT) compatible, and the loader leaves both
+// off even in a -fcf-protection build.
 //
 // Switching rules the caller must keep:
 //  - no mutex may be held across yield() (it could be released on another
@@ -23,7 +37,9 @@
 // pages the body actually uses. Switches are annotated for AddressSanitizer
 // and ThreadSanitizer when those are enabled.
 
+#if !defined(__x86_64__)
 #include <ucontext.h>
+#endif
 
 #include <cstddef>
 #include <functional>
@@ -57,8 +73,13 @@ class Fiber {
   std::function<void()> body_;
   void* map_ = nullptr;  ///< mmap'd guard page + stack
   std::size_t map_size_ = 0;
-  ucontext_t ctx_{};         ///< the fiber's saved context
-  ucontext_t return_ctx_{};  ///< the resuming thread's saved context
+#if defined(__x86_64__)
+  using Context = void*;  ///< a saved stack pointer (fiber_switch_x86_64.S)
+#else
+  using Context = ucontext_t;
+#endif
+  Context ctx_{};         ///< the fiber's saved context
+  Context return_ctx_{};  ///< the resuming thread's saved context
   bool started_ = false;
   bool done_ = false;
   // Sanitizer bookkeeping (unused without sanitizers).

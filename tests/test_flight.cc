@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -138,6 +139,53 @@ TEST(DiagHub, CrashDumpWinsOverFinal) {
   // dump must not overwrite it — write_final just reports the crash dump.
   EXPECT_EQ(hub.write_final(nullptr), dc.dump_path);
   EXPECT_NE(slurp(dc.dump_path).find("\"diag\": \"crash\""), std::string::npos);
+  std::remove(dc.dump_path.c_str());
+}
+
+TEST(DiagHub, SourcesRemovedInAnyOrder) {
+  // 1024 sources over 256 ranks, removed in shuffled order: a dump always
+  // holds exactly the live sources, each rank's in registration order.
+  constexpr int kRanks = 256;
+  constexpr int kSources = 1024;
+  obs::DiagConfig dc;
+  dc.flight_capacity = 0;
+  dc.dump_path = temp_path("diag_sources_unit.json");
+  obs::DiagHub hub(dc, kRanks);
+  std::vector<obs::DiagHub::Source> sources;
+  for (int i = 0; i < kSources; ++i)
+    sources.push_back(hub.add_source(i % kRanks, [i](obs::JsonWriter& w) {
+      w.kv("src_" + std::to_string(i), i);
+    }));
+  std::vector<int> order(kSources);
+  for (int i = 0; i < kSources; ++i) order[static_cast<std::size_t>(i)] = i;
+  std::shuffle(order.begin(), order.end(), std::mt19937(7));
+  std::vector<bool> live(kSources, true);
+  // The source ids a dump shows, in dump order.
+  auto dumped = [&] {
+    const std::string dump = slurp(hub.write_final(nullptr));
+    std::vector<int> ids;
+    const std::string key = "\"src_";
+    for (auto at = dump.find(key); at != std::string::npos; at = dump.find(key, at + 1))
+      ids.push_back(std::stoi(dump.substr(at + key.size())));
+    return ids;
+  };
+  auto expected = [&] {
+    std::vector<int> ids;
+    for (int r = 0; r < kRanks; ++r)
+      for (int i = r; i < kSources; i += kRanks)
+        if (live[static_cast<std::size_t>(i)]) ids.push_back(i);
+    return ids;
+  };
+  EXPECT_EQ(dumped(), expected());
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const auto i = static_cast<std::size_t>(order[k]);
+    sources[i].reset();
+    live[i] = false;
+    if (k + 1 == order.size() / 2) {
+      EXPECT_EQ(dumped(), expected());
+    }
+  }
+  EXPECT_TRUE(dumped().empty());
   std::remove(dc.dump_path.c_str());
 }
 

@@ -3,14 +3,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cfenv>
+#include <functional>
 #include <mutex>
+#include <random>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "schedpt/schedule.h"
 #include "sim/coordinator.h"
+#include "sim/fiber.h"
 #include "sim/trace.h"
 
 namespace usw::sim {
@@ -589,6 +594,260 @@ TEST(Coordinator, DeadlockNamesEveryWaitingRank) {
       }
     }
   }
+}
+
+TEST(ParallelCoordinator, BarrierRefreshesOnlyMailedWaiters) {
+  // Rank 0 parks on a fixed far wake with a mailbox-scan refresh; ranks 1
+  // and 2 step one window per gate, and rank 1 mails rank 0 (arrivals past
+  // the wake, so nothing fires early) every third step. The barrier runs
+  // the refresh at rank 0's first barrier and then only after the windows
+  // that mailed it: 1 + 10 calls, not one per window.
+  constexpr TimePs kWindow = 100;
+  constexpr TimePs kWake = 10000;
+  constexpr int kSteps = 30;
+  auto run = [&](const CoordinatorSpec& spec, TimePs window, int* refreshes) {
+    std::mutex box_mu;
+    std::vector<TimePs> box;
+    TimePs woke = 0;
+    *refreshes = 0;
+    run_ranks(
+        3,
+        [&](Coordinator& c, int r) {
+          if (r == 0) {
+            const std::function<TimePs()> refresh = [&] {
+              ++*refreshes;
+              std::lock_guard<std::mutex> lk(box_mu);
+              return box.empty() ? kNever : *std::min_element(box.begin(), box.end());
+            };
+            c.wait_until(r, kWake, refresh);
+            woke = c.now(r);
+            return;
+          }
+          for (int i = 0; i < kSteps; ++i) {
+            c.advance(r, kWindow);
+            c.gate(r);
+            if (r == 1 && i % 3 == 0) {
+              const TimePs stamp = c.now(r) + 2 * kWake;
+              {
+                std::lock_guard<std::mutex> lk(box_mu);
+                box.push_back(stamp);
+              }
+              c.notify(0, stamp, r);
+            }
+          }
+        },
+        nullptr, window, nullptr, 0, spec);
+    return woke;
+  };
+  int serial_refreshes = 0;
+  EXPECT_EQ(run(CoordinatorSpec{}, 0, &serial_refreshes), kWake);
+  for (const CoordinatorSpec& spec : {CoordinatorSpec{}, parallel_spec(4)}) {
+    int refreshes = 0;
+    EXPECT_EQ(run(spec, kWindow, &refreshes), kWake) << spec.describe();
+    EXPECT_EQ(refreshes, 1 + (kSteps + 2) / 3) << spec.describe();
+  }
+}
+
+/// One step of a randomized rank script (RandomScriptsMatchMinClockReference).
+struct ScriptOp {
+  enum Kind : std::uint8_t { kGate, kWait, kNotify } kind;
+  TimePs amount;  ///< advance before a gate, wait length, or stamp slack
+  int peer;       ///< notify target
+};
+
+std::vector<std::vector<ScriptOp>> random_scripts(std::uint64_t seed, int nranks,
+                                                  int nops) {
+  std::mt19937_64 rng(seed);
+  std::vector<std::vector<ScriptOp>> scripts(static_cast<std::size_t>(nranks));
+  for (int r = 0; r < nranks; ++r) {
+    for (int i = 0; i < nops; ++i) {
+      const auto pick = rng() % 10;
+      const TimePs amount = 1 + static_cast<TimePs>(rng() % 60);
+      int peer = static_cast<int>(rng() % static_cast<std::uint64_t>(nranks - 1));
+      if (peer >= r) ++peer;
+      const ScriptOp::Kind kind = pick < 4   ? ScriptOp::kGate
+                                  : pick < 7 ? ScriptOp::kWait
+                                             : ScriptOp::kNotify;
+      scripts[static_cast<std::size_t>(r)].push_back(ScriptOp{kind, amount, peer});
+    }
+  }
+  return scripts;
+}
+
+/// What a run of the scripts shows: every grant as (rank, time), and each
+/// rank's clock after each of its gates and waits.
+struct ScriptRun {
+  std::vector<std::pair<int, TimePs>> grants;
+  std::vector<std::vector<TimePs>> clocks;
+};
+
+/// The classic min-clock order, one rank at a time: the minimum
+/// (eligibility, rank) runs until it gates or waits; a notify lowers its
+/// target's wake (never below the target's clock) only if the target is
+/// waiting when the notify posts.
+ScriptRun min_clock_reference(const std::vector<std::vector<ScriptOp>>& scripts,
+                              TimePs latency) {
+  enum class St : std::uint8_t { kReady, kWaiting, kFinished };
+  struct Rank {
+    St st = St::kReady;
+    TimePs clock = 0;
+    TimePs wake = kNever;
+    std::size_t pc = 0;
+  };
+  const int n = static_cast<int>(scripts.size());
+  std::vector<Rank> ranks(scripts.size());
+  ScriptRun out;
+  out.clocks.resize(scripts.size());
+  for (;;) {
+    int best = -1;
+    TimePs best_time = kNever;
+    for (int r = 0; r < n; ++r) {
+      const Rank& k = ranks[static_cast<std::size_t>(r)];
+      const TimePs eff = k.st == St::kReady     ? k.clock
+                         : k.st == St::kWaiting ? k.wake
+                                                : kNever;
+      if (eff < best_time) {
+        best = r;
+        best_time = eff;
+      }
+    }
+    if (best < 0) break;
+    Rank& me = ranks[static_cast<std::size_t>(best)];
+    std::vector<TimePs>& log = out.clocks[static_cast<std::size_t>(best)];
+    if (me.st == St::kWaiting) {
+      me.clock = std::max(me.clock, me.wake);
+      log.push_back(me.clock);
+    }
+    out.grants.emplace_back(best, me.clock);
+    me.st = St::kFinished;
+    const std::vector<ScriptOp>& ops = scripts[static_cast<std::size_t>(best)];
+    while (me.pc < ops.size()) {
+      const ScriptOp& op = ops[me.pc++];
+      if (op.kind == ScriptOp::kGate) {
+        me.clock += op.amount;
+        log.push_back(me.clock);
+        me.st = St::kReady;
+        break;
+      }
+      if (op.kind == ScriptOp::kWait) {
+        me.wake = me.clock + op.amount;
+        me.st = St::kWaiting;
+        break;
+      }
+      Rank& target = ranks[static_cast<std::size_t>(op.peer)];
+      if (target.st == St::kWaiting)
+        target.wake =
+            std::min(target.wake, std::max(me.clock + latency + op.amount, target.clock));
+    }
+  }
+  return out;
+}
+
+struct GrantLog : DiagSink {
+  std::vector<std::pair<int, TimePs>> grants;
+  void on_rank_pick(int rank, int, TimePs time) override {
+    grants.emplace_back(rank, time);
+  }
+  void on_crash(const std::string&, const std::vector<RankStatus>&) override {}
+};
+
+ScriptRun run_scripts(const std::vector<std::vector<ScriptOp>>& scripts,
+                      TimePs latency, TimePs window, const CoordinatorSpec& spec) {
+  GrantLog log;
+  ScriptRun out;
+  out.clocks.resize(scripts.size());
+  run_ranks(
+      static_cast<int>(scripts.size()),
+      [&](Coordinator& c, int r) {
+        std::vector<TimePs>& clocks = out.clocks[static_cast<std::size_t>(r)];
+        for (const ScriptOp& op : scripts[static_cast<std::size_t>(r)]) {
+          switch (op.kind) {
+            case ScriptOp::kGate:
+              c.advance(r, op.amount);
+              c.gate(r);
+              clocks.push_back(c.now(r));
+              break;
+            case ScriptOp::kWait:
+              c.wait_until(r, c.now(r) + op.amount);
+              clocks.push_back(c.now(r));
+              break;
+            case ScriptOp::kNotify:
+              c.notify(op.peer, c.now(r) + latency + op.amount, r);
+              break;
+          }
+        }
+      },
+      nullptr, window, &log, 0, spec);
+  out.grants = std::move(log.grants);
+  return out;
+}
+
+TEST(Coordinator, RandomScriptsMatchMinClockReference) {
+  // Random gate/wait/notify scripts. One grant per window (window 0)
+  // reproduces the reference grant sequence exactly; windowed granting
+  // grants a subsequence of it (in-window gates and waits do not park)
+  // and gives every rank the reference clocks, at caps 1 and 4.
+  constexpr TimePs kLatency = 50;
+  constexpr int kRanks = 8;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const auto scripts = random_scripts(seed, kRanks, 60);
+    const ScriptRun ref = min_clock_reference(scripts, kLatency);
+    for (const int cap : {1, 4}) {
+      const CoordinatorSpec spec = parallel_spec(cap);
+      const ScriptRun one = run_scripts(scripts, kLatency, 0, spec);
+      EXPECT_EQ(one.grants, ref.grants) << "seed " << seed << " cap " << cap;
+      EXPECT_EQ(one.clocks, ref.clocks) << "seed " << seed << " cap " << cap;
+      const ScriptRun win = run_scripts(scripts, kLatency, kLatency, spec);
+      EXPECT_EQ(win.clocks, ref.clocks) << "seed " << seed << " cap " << cap;
+      EXPECT_TRUE(std::includes(ref.grants.begin(), ref.grants.end(),
+                                win.grants.begin(), win.grants.end(),
+                                [](const auto& a, const auto& b) {
+                                  return a.second != b.second ? a.second < b.second
+                                                              : a.first < b.first;
+                                }))
+          << "seed " << seed << " cap " << cap;
+    }
+  }
+}
+
+// ----------------------------------------------------------------- fibers ---
+
+TEST(Fiber, FpControlStateIsPerFiber) {
+  // A rounding mode set inside a fiber stays with the fiber across a yield
+  // and a resume on another thread, and never reaches either carrier.
+  const auto third = [] {
+    volatile double one = 1.0;
+    volatile double three = 3.0;
+    return one / three;
+  };
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  const double nearest = third();
+  Fiber* self = nullptr;
+  int fiber_mode = -1;
+  double fiber_third = 0;
+  Fiber fiber([&] {
+    std::fesetround(FE_UPWARD);
+    self->yield();
+    fiber_mode = std::fegetround();
+    fiber_third = third();
+  });
+  self = &fiber;
+  fiber.resume();
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  EXPECT_EQ(third(), nearest);
+  int other_mode = -1;
+  double other_third = 0;
+  std::thread other([&] {
+    fiber.resume();
+    other_mode = std::fegetround();
+    other_third = third();
+  });
+  other.join();
+  EXPECT_TRUE(fiber.done());
+  EXPECT_EQ(fiber_mode, FE_UPWARD);
+  EXPECT_GT(fiber_third, nearest);
+  EXPECT_EQ(other_mode, FE_TONEAREST);
+  EXPECT_EQ(other_third, nearest);
 }
 
 TEST(Trace, RecordsOnlyWhenEnabled) {
